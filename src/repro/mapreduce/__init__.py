@@ -5,10 +5,12 @@ execution substrate in pure Python:
 
 * :mod:`repro.mapreduce.job` — job definitions (mapper/combiner/reducer/
   partitioner) over ``(key, value)`` records;
-* :mod:`repro.mapreduce.runner` — a deterministic serial runner that also
-  records a :class:`~repro.mapreduce.types.JobTrace` (task-level record and
-  byte counts) for the cluster simulator;
-* :mod:`repro.mapreduce.local` — a real multi-process runner;
+* :mod:`repro.mapreduce.runner` — the one job driver, which also records
+  a :class:`~repro.mapreduce.types.JobTrace` (task-level record and byte
+  counts) for the cluster simulator, and the deterministic serial runner
+  that runs its tasks inline;
+* :mod:`repro.mapreduce.local` — the multi-process runner: the same
+  driver with its tasks raced on a process pool;
 * :mod:`repro.mapreduce.hdfs` — a block-based simulated HDFS with
   replication and locality metadata;
 * :mod:`repro.mapreduce.simulator` / :mod:`~repro.mapreduce.costmodel` —

@@ -1,21 +1,33 @@
-"""Serial job runner: deterministic reference execution with tracing.
+"""Job driver: one MapReduce job skeleton, two task executors.
 
-The serial runner executes the full map -> combine -> shuffle -> reduce
-pipeline in-process, measuring per-task CPU time and record counts into a
-:class:`~repro.mapreduce.types.JobTrace`.  Those traces are the input to
-the discrete-event cluster simulator (the real work is measured; only the
-distributed wall-clock is modeled — see DESIGN.md substitution #1).
+:class:`SerialRunner` and :class:`~repro.mapreduce.local.MultiprocessRunner`
+share one driver, in the image of Hadoop's JobTracker: it splits the
+input, runs the map phase, routes map output through the job's wire codec
+and the in-memory or spilling shuffle, runs the reduce phase, and owns
+everything around the tasks — :class:`~repro.mapreduce.faults.FaultPlan`
+barriers, cancellation points, checkpoint recovery, counters, the
+:class:`~repro.mapreduce.types.JobTrace` and the span tree.  Those traces
+are the input to the discrete-event cluster simulator (the real work is
+measured; only the distributed wall-clock is modeled — see DESIGN.md
+substitution #1).
 
-Execution is fault tolerant: each task runs inside an attempt loop driven
-by a :class:`~repro.mapreduce.faults.RetryPolicy` (derived from
-``JobConf`` unless overridden) — failed attempts are retried with
-exponential backoff, hung attempts are abandoned at the task deadline,
-stragglers get speculative backup attempts, and completed task outputs can
-be persisted to a :class:`~repro.mapreduce.faults.JobCheckpoint` so a
-killed job resumes from the last barrier.  A
-:class:`~repro.mapreduce.faults.FaultPlan` injects deterministic faults
-for chaos testing.  Attempt history lands in the trace and in the
-``fault`` counter group.
+The driver hands each phase's tasks to an executor, which only decides
+when attempts run (the TaskTracker half).  The inline executor defined
+here runs them one after another in the driver's process; the pool
+executor of :mod:`repro.mapreduce.local` races them on worker processes.
+Both run the same per-attempt code: fault injection, the map or reduce
+task body (record validation and the combiner included), and, whenever a
+fault plan is set, a producer-side CRC32 of the output verified on
+receipt.
+
+Execution is fault tolerant: each task runs in an attempt loop driven by
+a :class:`~repro.mapreduce.faults.RetryPolicy` (derived from ``JobConf``
+unless overridden) — failed attempts are retried with exponential
+backoff, hung attempts are abandoned at the task deadline, stragglers get
+speculative backup attempts, and completed task outputs can be persisted
+to a :class:`~repro.mapreduce.faults.JobCheckpoint` so a killed job
+resumes from the last barrier.  Attempt history lands in the trace and in
+the ``fault`` counter group.
 
 When a :class:`~repro.obs.trace.Tracer` is active, execution also emits
 telemetry: a ``job`` span wrapping ``map``/``shuffle``/``reduce`` stage
@@ -27,15 +39,19 @@ metrics registry.  With no tracer active all instrumentation is no-op.
 
 from __future__ import annotations
 
+import statistics
 import time
 from collections import defaultdict
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.errors import FaultError, MapReduceError, TaskFailedError
 from repro.mapreduce.cancel import check_cancelled
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.faults import (
+    Fault,
     FaultPlan,
     JobCheckpoint,
     RetryPolicy,
@@ -47,6 +63,7 @@ from repro.mapreduce.shuffle import (
     approx_records_bytes,
     partition_num_records,
     shuffle,
+    sort_grouped_keys,
     sort_records,
 )
 from repro.mapreduce.types import JobConf, JobTrace, TaskTrace
@@ -61,11 +78,6 @@ class JobResult:
     output: list[tuple]
     counters: Counters = field(default_factory=Counters)
     trace: JobTrace | None = None
-
-
-# Shared with the spill-threshold estimate of the external shuffle; the
-# multiprocess runner imports it from here.
-_approx_bytes = approx_records_bytes
 
 
 def _through_wire(
@@ -84,7 +96,7 @@ def _through_wire(
     byte counters record the savings.
     """
     frames = [job.wire.encode_records(out) for out in map_outputs]
-    raw = sum(_approx_bytes(out) for out in map_outputs)
+    raw = sum(approx_records_bytes(out) for out in map_outputs)
     on_wire = sum(frame.nbytes for frame in frames)
     counters.increment("wire", "frames", len(frames))
     counters.increment("wire", "bytes_raw", raw)
@@ -96,25 +108,403 @@ def _through_wire(
     return [job.wire.decode_records(frame) for frame in frames]
 
 
-def _median(values: Sequence[float]) -> float:
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
+# ---- the per-attempt code every executor runs ------------------------------
 
 
-class SerialRunner:
-    """Run jobs sequentially in-process.
+class _AttemptSpec(NamedTuple):
+    """Everything one task attempt needs; picklable, so it can cross into
+    a pool worker."""
 
-    ``trace=True`` (default) records task-level statistics; turn it off for
-    micro-benchmarks where the byte-size sampling overhead matters.
+    job: MapReduceJob
+    kind: str  # "map" | "reduce"
+    payload: object  # the map split or the reduce partition's groups
+    use_combiner: bool
+    fault: Fault | None
+    checksummed: bool  # ship a producer-side CRC32 with the output
+    task_id: str
+    attempt: int
 
-    ``fault_plan``, ``checkpoint`` and ``retry`` set instance-wide defaults
-    so callers that only hand a runner to a pipeline (e.g.
-    :class:`~repro.cluster.pipeline.MrMCMinH`) still get fault-tolerant
-    execution; per-call keyword arguments to :meth:`run` override them.
+
+def _validated(emitted, job_name: str, stage: str):
+    for pair in emitted:
+        if not isinstance(pair, tuple) or len(pair) != 2:
+            raise MapReduceError(
+                f"{stage} of job {job_name!r} emitted {pair!r}; "
+                "expected (key, value) tuples"
+            )
+        yield pair
+
+
+def _combine(job: MapReduceJob, pairs: list[tuple]) -> list[tuple]:
+    grouped: dict[object, list] = defaultdict(list)
+    for key, value in pairs:
+        grouped[key].append(value)
+    out: list[tuple] = []
+    for key in sort_grouped_keys(grouped.keys()):
+        out.extend(job.run_combiner(key, grouped[key]))
+    return out
+
+
+def _map_body(
+    job: MapReduceJob, split: Sequence[tuple], use_combiner: bool
+) -> tuple[list[tuple], Counters]:
+    """One clean map attempt over a split (fresh counters per attempt)."""
+    task_counters = Counters()
+    out: list[tuple] = []
+    if job.batch_mapper is not None:
+        emitted = job.run_batch_mapper(split, task_counters)
+        if emitted is not None:
+            out.extend(_validated(emitted, job.name, "batch_mapper"))
+    else:
+        for key, value in split:
+            emitted = job.run_mapper(key, value, task_counters)
+            if emitted is not None:
+                out.extend(_validated(emitted, job.name, "mapper"))
+    if use_combiner and job.combiner is not None:
+        out = _combine(job, out)
+    return out, task_counters
+
+
+def _reduce_body(
+    job: MapReduceJob, groups: Sequence[tuple[object, list]]
+) -> tuple[list[tuple], Counters]:
+    """One clean reduce attempt over a partition's grouped keys."""
+    task_counters = Counters()
+    out: list[tuple] = []
+    for key, values in groups:
+        emitted = job.run_reducer(key, values, task_counters)
+        if emitted is not None:
+            out.extend(_validated(emitted, job.name, "reducer"))
+    return out, task_counters
+
+
+def _verify_checksum(out, checksum: int | None, task_id: str, attempt: int) -> None:
+    """Receipt side of the shuffle integrity check (IFile-checksum model)."""
+    if checksum is not None and records_checksum(out) != checksum:
+        raise FaultError(
+            "corrupted shuffle partition (checksum mismatch)",
+            task_id=task_id,
+            attempt=attempt,
+        )
+
+
+def _run_attempt(
+    spec: _AttemptSpec,
+    tracer,
+    *,
+    speculative: bool = False,
+    on_hang: Callable[[Fault], None] | None = None,
+    verify: bool = True,
+) -> tuple[list[tuple], Counters, int | None, float]:
+    """One task attempt: injected fault, task body, producer checksum.
+
+    Returns ``(records, task_counters, checksum, seconds)``; ``seconds``
+    times the task body alone.  The checksum is computed *before* any
+    injected corruption — it models the producer-side checksum that
+    travels with the data.  With ``verify`` the receipt check runs here
+    too; a pool worker leaves it to the driver.  A hang fault calls
+    ``on_hang`` (the inline straggler model) or simply stalls.
     """
+    fault = spec.fault
+    with tracer.span(
+        f"attempt:{spec.attempt}", kind="attempt",
+        attempt=spec.attempt, task_id=spec.task_id,
+    ) as span:
+        if fault is not None:
+            span.attrs["fault"] = fault.kind
+        if speculative:
+            span.attrs["speculative"] = True
+        if fault is not None and fault.kind == "crash":
+            raise FaultError(
+                fault.reason or "injected crash",
+                task_id=spec.task_id,
+                attempt=spec.attempt,
+            )
+        if fault is not None and fault.kind == "hang" and on_hang is not None:
+            on_hang(fault)
+        elif fault is not None and fault.kind in ("hang", "slow_node"):
+            # A stall or a degraded node: latency, not a failure.
+            time.sleep(fault.delay)
+        t0 = time.perf_counter()
+        if spec.kind == "map":
+            out, task_counters = _map_body(spec.job, spec.payload, spec.use_combiner)
+        else:
+            out, task_counters = _reduce_body(spec.job, spec.payload)
+        seconds = time.perf_counter() - t0
+        checksum = records_checksum(out) if spec.checksummed else None
+        if fault is not None and fault.kind == "corrupt":
+            out = FaultPlan.corrupt_records(out, spec.task_id)
+        if verify:
+            _verify_checksum(out, checksum, spec.task_id, spec.attempt)
+        if speculative:
+            span.attrs["speculative_win"] = True
+    return out, task_counters, checksum, seconds
+
+
+# ---- driver-side task state and accounting ---------------------------------
+
+
+@dataclass
+class _Task:
+    """One map or reduce task of a running job, with its attempt history."""
+
+    kind: str
+    index: int
+    task_id: str
+    # The reduce partition's groups, or the slice of the job input a map
+    # task reads (cut per attempt, so a phase never holds every split).
+    payload: object
+    records_in: int = 0
+    bytes_in: int = 0
+    attempts: int = 0  # attempts launched so far
+    failures: list[str] = field(default_factory=list)
+    speculative_win: bool = False
+    done: bool = False
+    output: list[tuple] | None = None
+    counters: Counters | None = None
+    trace: TaskTrace | None = None
+
+
+class _JobRun:
+    """One job's execution state, shared by the driver and its executor.
+
+    Executors call :meth:`launch` before every attempt, :meth:`fail` after
+    a failed one and :meth:`commit` when a task's winning attempt is in;
+    nothing else in the engine numbers attempts, accounts failures or
+    assembles a :class:`~repro.mapreduce.types.TaskTrace`.
+    """
+
+    def __init__(
+        self,
+        job: MapReduceJob,
+        inputs: Sequence[tuple],
+        conf: JobConf,
+        *,
+        plan: FaultPlan | None,
+        policy: RetryPolicy,
+        checkpoint: JobCheckpoint | None,
+        counters: Counters,
+        measure_bytes: bool,
+    ):
+        self.job = job
+        self.inputs = inputs
+        self.conf = conf
+        self.plan = plan
+        self.policy = policy
+        self.checkpoint = checkpoint
+        self.counters = counters
+        self.measure_bytes = measure_bytes
+        self._phase: list[_Task] = []
+        self._deliver: Callable[[list[tuple]], None] | None = None
+        self._delivered = 0
+
+    def begin_phase(
+        self, tasks: list[_Task], deliver: Callable[[list[tuple]], None] | None
+    ) -> None:
+        """Start a phase; ``deliver`` receives committed outputs in task
+        order (each released once delivered)."""
+        self._phase, self._deliver, self._delivered = tasks, deliver, 0
+
+    def launch(self, task: _Task) -> _AttemptSpec:
+        """Number the next attempt of ``task`` and look up its fault."""
+        task.attempts += 1
+        plan = self.plan
+        fault = (
+            plan.fault_for(self.job.name, task.kind, task.index, task.attempts)
+            if plan is not None
+            else None
+        )
+        if fault is not None and fault.kind == "slow_node":
+            self.counters.increment("fault", "slow_node_delays")
+        payload = self.inputs[task.payload] if task.kind == "map" else task.payload
+        return _AttemptSpec(
+            self.job, task.kind, payload, self.conf.use_combiner, fault,
+            plan is not None, task.task_id, task.attempts,
+        )
+
+    def failure_reason(self, exc: Exception) -> str:
+        """The failure text recorded for ``exc``.  With no retry budget a
+        user exception propagates as-is."""
+        if isinstance(exc, FaultError):
+            return str(exc)
+        if self.policy.max_attempts == 1:
+            raise exc
+        return f"{type(exc).__name__}: {exc}"
+
+    def fail(
+        self, task: _Task, reason: str, cause: Exception, *, live_attempts: int = 0
+    ) -> bool:
+        """Record one failed attempt; True when the task must be retried.
+
+        A failure while another attempt of the task is still running only
+        counts: that attempt may yet win.
+        """
+        task.failures.append(reason)
+        self.counters.increment("fault", "attempts_failed")
+        if live_attempts:
+            return False
+        if task.attempts >= self.policy.max_attempts:
+            raise TaskFailedError(task.task_id, task.failures) from cause
+        self.counters.increment("fault", "task_retries")
+        return True
+
+    def commit(
+        self,
+        task: _Task,
+        out: list[tuple],
+        task_counters: Counters,
+        seconds: float,
+        *,
+        speculative: bool = False,
+    ) -> None:
+        """Adopt a winning attempt: only its output and counters count
+        (failed attempts' increments are discarded, like Hadoop's committed
+        task outputs), then checkpoint it."""
+        if speculative:
+            task.speculative_win = True
+            self.counters.increment("fault", "speculative_wins")
+        current_tracer().metrics.histogram("mr.task_seconds").observe(seconds)
+        task.trace = TaskTrace(
+            task_id=task.task_id,
+            kind=task.kind,
+            records_in=task.records_in,
+            records_out=len(out),
+            bytes_in=task.bytes_in,
+            bytes_out=approx_records_bytes(out) if self.measure_bytes else 0,
+            cpu_seconds=seconds,
+            attempts=task.attempts,
+            failures=list(task.failures),
+            speculative_win=task.speculative_win,
+        )
+        if self.checkpoint is not None:
+            self.checkpoint.save(
+                task.task_id,
+                {"output": out, "counters": task_counters, "trace": task.trace},
+            )
+        self._complete(task, out, task_counters)
+
+    def recover(self, task: _Task) -> bool:
+        """Restore ``task`` from the checkpoint, if it has an entry."""
+        if self.checkpoint is None or not self.checkpoint.has(task.task_id):
+            return False
+        payload = self.checkpoint.load(task.task_id)
+        task.trace = payload["trace"]
+        task.trace.recovered = True
+        self.counters.increment("fault", "tasks_recovered_from_checkpoint")
+        with current_tracer().span(
+            f"task:{task.task_id}", kind="task", task_id=task.task_id,
+            task_kind=task.kind, recovered=True,
+        ):
+            pass
+        self._complete(task, payload["output"], payload["counters"])
+        return True
+
+    def _complete(self, task: _Task, out: list[tuple], task_counters: Counters) -> None:
+        task.done, task.output, task.counters = True, out, task_counters
+        phase = self._phase
+        while self._deliver is not None and self._delivered < len(phase):
+            ready = phase[self._delivered]
+            if not ready.done:
+                break
+            self._deliver(ready.output)
+            ready.output = None
+            self._delivered += 1
+        if self.plan is not None:
+            self.plan.note_task_complete()
+
+
+# ---- executors -------------------------------------------------------------
+
+
+class _InlineExecutor:
+    """Runs a phase's attempts one after another in the driver's process.
+
+    A single thread cannot race attempts, so speculation follows a serial
+    straggler model (:meth:`_handle_hang`): the straggling attempt is
+    abandoned and the retry is labelled as the backup that won.
+    """
+
+    def run_phase(self, run: _JobRun, tasks: list[_Task]) -> None:
+        tracer = current_tracer()
+        durations: list[float] = []  # completed task durations this phase
+        for task in tasks:
+            check_cancelled(task.task_id)  # cooperative deadline/cancel point
+            with tracer.span(
+                f"task:{task.task_id}", kind="task",
+                task_id=task.task_id, task_kind=task.kind,
+            ):
+                speculative = False  # this attempt is a speculative backup
+                while True:
+                    check_cancelled(task.task_id)
+                    spec = run.launch(task)
+                    try:
+                        out, task_counters, _, seconds = _run_attempt(
+                            spec,
+                            tracer,
+                            speculative=speculative,
+                            on_hang=lambda fault: self._handle_hang(
+                                fault, run.policy, spec, durations
+                            ),
+                        )
+                    except Exception as exc:
+                        run.fail(task, run.failure_reason(exc), exc)
+                        speculative = getattr(exc, "speculative", False)
+                        delay = run.policy.backoff_delay(task.attempts)
+                        if delay > 0:
+                            time.sleep(delay)
+                        continue
+                    durations.append(seconds)
+                    run.commit(
+                        task, out, task_counters, seconds, speculative=speculative
+                    )
+                    break
+
+    @staticmethod
+    def _handle_hang(
+        fault: Fault,
+        policy: RetryPolicy,
+        spec: _AttemptSpec,
+        durations: list[float],
+    ) -> None:
+        """Serial model of a hung attempt.
+
+        A hang whose delay crosses the task deadline (``task_timeout``) is
+        abandoned; one that crosses the speculation threshold
+        (``speculative_margin x median completed duration``) is abandoned in
+        favour of a backup attempt — run *after* abandoning the original,
+        so "backup wins" is recorded on the retry.  The pool executor races
+        real concurrent attempts.  Hangs below both thresholds simply
+        sleep: a slow task, not a failure.
+        """
+        if policy.timeout is not None and fault.delay >= policy.timeout:
+            exc = FaultError(
+                f"attempt abandoned at task_timeout={policy.timeout}s "
+                f"(hang of {fault.delay}s)",
+                task_id=spec.task_id,
+                attempt=spec.attempt,
+            )
+            exc.speculative = policy.speculative_margin > 0
+            raise exc
+        if policy.speculative_margin > 0 and durations:
+            median = statistics.median(durations)
+            if fault.delay >= policy.speculative_margin * median:
+                exc = FaultError(
+                    f"straggler: hang of {fault.delay}s exceeds "
+                    f"{policy.speculative_margin}x median "
+                    f"({median:.6f}s); speculative backup launched",
+                    task_id=spec.task_id,
+                    attempt=spec.attempt,
+                )
+                exc.speculative = True
+                raise exc
+        time.sleep(fault.delay)
+
+
+# ---- the job driver --------------------------------------------------------
+
+
+class _JobDriver:
+    """The job skeleton both runners share; subclasses pick the executor."""
 
     def __init__(
         self,
@@ -128,6 +518,15 @@ class SerialRunner:
         self.fault_plan = fault_plan
         self.checkpoint = checkpoint
         self.retry = retry
+
+    def _job_attrs(self) -> dict:
+        """Attributes of the ``job`` span naming the backend."""
+        return {"runner": "serial"}
+
+    @contextmanager
+    def _executor(self, job: MapReduceJob) -> Iterator[_InlineExecutor]:
+        """The executor for one job's tasks, held for the whole job."""
+        yield _InlineExecutor()
 
     def run(
         self,
@@ -143,7 +542,7 @@ class SerialRunner:
         """Execute ``job`` over ``inputs`` (a sequence of key/value pairs).
 
         With ``output_sink`` set, every reduce output record is fed to the
-        callback as it is produced instead of being accumulated (the
+        callback as its task completes instead of being accumulated (the
         returned :class:`JobResult` has an empty ``output`` and
         ``sort_output`` does not apply) — the streaming hand-off the
         sparse candidate-edge path uses to avoid materializing the full
@@ -151,45 +550,34 @@ class SerialRunner:
         """
         conf = conf or JobConf()
         plan = fault_plan if fault_plan is not None else self.fault_plan
-        ckpt = checkpoint if checkpoint is not None else self.checkpoint
-        policy = retry or self.retry or RetryPolicy.from_conf(conf)
         counters = Counters()
         trace = JobTrace(job_name=job.name) if self.trace else None
+        run = _JobRun(
+            job,
+            inputs,
+            conf,
+            plan=plan,
+            policy=retry or self.retry or RetryPolicy.from_conf(conf),
+            checkpoint=checkpoint if checkpoint is not None else self.checkpoint,
+            counters=counters,
+            measure_bytes=self.trace,
+        )
         tracer = current_tracer()
 
-        with tracer.span(
-            f"job:{job.name}", kind="job", job=job.name, runner="serial"
+        with self._executor(job) as executor, tracer.span(
+            f"job:{job.name}", kind="job", job=job.name, **self._job_attrs()
         ) as job_span:
             if plan is not None:
                 plan.trigger_barrier("job_start", counters)
 
             # ---- map phase, split into conf.num_map_tasks tasks ---------
-            map_outputs: list[list[tuple]] = []
-            map_durations: list[float] = []
             with tracer.span("map", kind="stage"):
-                for t, (start, stop) in enumerate(
-                    chunk_indices(len(inputs), conf.num_map_tasks)
-                ):
-                    split = inputs[start:stop]
-                    task_trace, out = self._execute_task(
-                        job=job,
-                        kind="map",
-                        index=t,
-                        task_id=f"{job.name}-m{t:04d}",
-                        body=lambda split=split: self._map_split(job, split, conf),
-                        records_in=len(split),
-                        bytes_in=_approx_bytes(split) if self.trace else 0,
-                        policy=policy,
-                        plan=plan,
-                        checkpoint=ckpt,
-                        counters=counters,
-                        completed_durations=map_durations,
-                    )
-                    counters.increment("job", "map_input_records", len(split))
-                    counters.increment("job", "map_output_records", len(out))
-                    if trace is not None:
-                        trace.map_tasks.append(task_trace)
-                    map_outputs.append(out)
+                bounds = chunk_indices(len(inputs), conf.num_map_tasks)
+                map_tasks = self._run_phase(
+                    executor, run, "map", [slice(*b) for b in bounds]
+                )
+            self._account(map_tasks, counters, trace.map_tasks if trace else None)
+            map_outputs = [task.output for task in map_tasks]
 
             if plan is not None:
                 plan.trigger_barrier("map_end", counters)
@@ -200,13 +588,10 @@ class SerialRunner:
             # bit-rot), not just on reducer errors.
             spill: SpillingShuffle | None = None
             output: list[tuple] = []
-            reduce_durations: list[float] = []
             try:
                 with tracer.span("shuffle", kind="stage") as shuffle_span:
                     if job.wire is not None:
-                        map_outputs = _through_wire(
-                            job, map_outputs, counters, trace
-                        )
+                        map_outputs = _through_wire(job, map_outputs, counters, trace)
                     if conf.spill_threshold_bytes is not None:
                         spill = SpillingShuffle(
                             conf.num_reduce_tasks,
@@ -228,37 +613,24 @@ class SerialRunner:
                     counters.increment("job", "shuffle_records", moved)
                     if trace is not None and job.wire is None:
                         trace.shuffle_bytes = sum(
-                            _approx_bytes(p) for p in map_outputs
+                            approx_records_bytes(p) for p in map_outputs
                         )
                     shuffle_span.attrs["records"] = moved
 
                 # ---- reduce phase ---------------------------------------
+                if output_sink is not None:
+                    def deliver(records: list[tuple]) -> None:
+                        for record in records:
+                            output_sink(record)
+                else:
+                    deliver = output.extend
                 with tracer.span("reduce", kind="stage"):
-                    for r, groups in enumerate(partitions):
-                        records_in = partition_num_records(groups)
-                        task_trace, out = self._execute_task(
-                            job=job,
-                            kind="reduce",
-                            index=r,
-                            task_id=f"{job.name}-r{r:04d}",
-                            body=lambda groups=groups: self._reduce_groups(job, groups),
-                            records_in=records_in,
-                            bytes_in=0,
-                            policy=policy,
-                            plan=plan,
-                            checkpoint=ckpt,
-                            counters=counters,
-                            completed_durations=reduce_durations,
-                        )
-                        counters.increment("job", "reduce_input_records", records_in)
-                        counters.increment("job", "reduce_output_records", len(out))
-                        if trace is not None:
-                            trace.reduce_tasks.append(task_trace)
-                        if output_sink is not None:
-                            for record in out:
-                                output_sink(record)
-                        else:
-                            output.extend(out)
+                    reduce_tasks = self._run_phase(
+                        executor, run, "reduce", partitions, deliver
+                    )
+                self._account(
+                    reduce_tasks, counters, trace.reduce_tasks if trace else None
+                )
             finally:
                 if spill is not None:
                     spill.close()
@@ -277,6 +649,57 @@ class SerialRunner:
             # ordering cannot drift from the shuffle's grouping order.
             output = sort_records(output)
         return JobResult(output=output, counters=counters, trace=trace)
+
+    @staticmethod
+    def _run_phase(
+        executor,
+        run: _JobRun,
+        kind: str,
+        payloads: Sequence[object],
+        deliver: Callable[[list[tuple]], None] | None = None,
+    ) -> list[_Task]:
+        """Recover what the checkpoint holds, execute the rest."""
+        tasks = []
+        for i, payload in enumerate(payloads):
+            task = _Task(kind, i, f"{run.job.name}-{kind[0]}{i:04d}", payload)
+            if kind == "map":
+                split = run.inputs[payload]
+                task.records_in = len(split)
+                if run.measure_bytes:
+                    task.bytes_in = approx_records_bytes(split)
+            else:
+                task.records_in = partition_num_records(payload)
+            tasks.append(task)
+        run.begin_phase(tasks, deliver)
+        executor.run_phase(run, [task for task in tasks if not run.recover(task)])
+        return tasks
+
+    @staticmethod
+    def _account(
+        tasks: list[_Task], counters: Counters, traces: list[TaskTrace] | None
+    ) -> None:
+        """Fold a finished phase into the job counters and trace, in task
+        order."""
+        for task in tasks:
+            counters.merge(task.counters)
+            kind = task.kind
+            counters.increment("job", f"{kind}_input_records", task.records_in)
+            counters.increment("job", f"{kind}_output_records", task.trace.records_out)
+            if traces is not None:
+                traces.append(task.trace)
+
+
+class SerialRunner(_JobDriver):
+    """Run jobs sequentially in-process, on the inline executor.
+
+    ``trace=True`` (default) records task-level statistics; turn it off for
+    micro-benchmarks where the byte-size sampling overhead matters.
+
+    ``fault_plan``, ``checkpoint`` and ``retry`` set instance-wide defaults
+    so callers that only hand a runner to a pipeline (e.g.
+    :class:`~repro.cluster.pipeline.MrMCMinH`) still get fault-tolerant
+    execution; per-call keyword arguments to :meth:`run` override them.
+    """
 
     def run_chain(
         self,
@@ -303,290 +726,3 @@ class SerialRunner:
                 current = result.output
         assert result is not None
         return result, traces
-
-    # ---- fault-tolerant task execution ------------------------------------
-
-    def _execute_task(
-        self,
-        *,
-        job: MapReduceJob,
-        kind: str,
-        index: int,
-        task_id: str,
-        body: Callable[[], tuple[list[tuple], Counters]],
-        records_in: int,
-        bytes_in: int,
-        policy: RetryPolicy,
-        plan: FaultPlan | None,
-        checkpoint: JobCheckpoint | None,
-        counters: Counters,
-        completed_durations: list[float],
-    ) -> tuple[TaskTrace, list[tuple]]:
-        """Run one task to completion: checkpoint recovery, attempt loop,
-        counter merging and trace assembly."""
-        check_cancelled(task_id)  # cooperative deadline/cancel point
-        tracer = current_tracer()
-        with tracer.span(
-            f"task:{task_id}", kind="task", task_id=task_id, task_kind=kind
-        ) as task_span:
-            if checkpoint is not None and checkpoint.has(task_id):
-                payload = checkpoint.load(task_id)
-                out = payload["output"]
-                counters.merge(payload["counters"])
-                counters.increment("fault", "tasks_recovered_from_checkpoint")
-                task_trace: TaskTrace = payload["trace"]
-                task_trace.recovered = True
-                task_span.attrs["recovered"] = True
-                if plan is not None:
-                    plan.note_task_complete()
-                return task_trace, out
-
-            out, task_counters, elapsed, attempts, failures, spec_win = (
-                self._run_attempts(
-                    job=job,
-                    kind=kind,
-                    index=index,
-                    task_id=task_id,
-                    body=body,
-                    policy=policy,
-                    plan=plan,
-                    counters=counters,
-                    completed_durations=completed_durations,
-                )
-            )
-            completed_durations.append(elapsed)
-            counters.merge(task_counters)
-            tracer.metrics.histogram("mr.task_seconds").observe(elapsed)
-            task_trace = TaskTrace(
-                task_id=task_id,
-                kind=kind,
-                records_in=records_in,
-                records_out=len(out),
-                bytes_in=bytes_in,
-                bytes_out=_approx_bytes(out) if self.trace else 0,
-                cpu_seconds=elapsed,
-                attempts=attempts,
-                failures=failures,
-                speculative_win=spec_win,
-            )
-            if checkpoint is not None:
-                checkpoint.save(
-                    task_id,
-                    {"output": out, "counters": task_counters, "trace": task_trace},
-                )
-            if plan is not None:
-                plan.note_task_complete()
-            return task_trace, out
-
-    def _run_attempts(
-        self,
-        *,
-        job: MapReduceJob,
-        kind: str,
-        index: int,
-        task_id: str,
-        body: Callable[[], tuple[list[tuple], Counters]],
-        policy: RetryPolicy,
-        plan: FaultPlan | None,
-        counters: Counters,
-        completed_durations: list[float],
-    ) -> tuple[list[tuple], Counters, float, int, list[str], bool]:
-        """The per-task attempt loop.
-
-        Failed attempts are recorded (reason strings) and retried with
-        exponential backoff up to ``policy.max_attempts``; the winning
-        attempt's output and counters are the only ones that count
-        (failed attempts' counter increments are discarded — exactly-once
-        side effects, like Hadoop's committed task outputs).
-        """
-        tracer = current_tracer()
-        failures: list[str] = []
-        speculative_attempt = False  # next attempt is a speculative backup
-        spec_win = False
-        attempt = 0
-        while True:
-            attempt += 1
-            check_cancelled(task_id)
-            fault = plan.fault_for(job.name, kind, index, attempt) if plan else None
-            with tracer.span(
-                f"attempt:{attempt}", kind="attempt", attempt=attempt, task_id=task_id
-            ) as attempt_span:
-                if fault is not None:
-                    attempt_span.attrs["fault"] = fault.kind
-                if speculative_attempt:
-                    attempt_span.attrs["speculative"] = True
-                try:
-                    if fault is not None and fault.kind == "crash":
-                        raise FaultError(
-                            fault.reason or "injected crash",
-                            task_id=task_id,
-                            attempt=attempt,
-                        )
-                    if fault is not None and fault.kind == "hang":
-                        self._handle_hang(
-                            fault, policy, task_id, attempt, completed_durations
-                        )
-                    if fault is not None and fault.kind == "slow_node":
-                        # A degraded node, not a failure: the attempt pays
-                        # the latency and still completes.
-                        counters.increment("fault", "slow_node_delays")
-                        time.sleep(fault.delay)
-                    t0 = time.perf_counter()
-                    out, task_counters = body()
-                    elapsed = time.perf_counter() - t0
-                    if fault is not None and fault.kind == "corrupt":
-                        # Checksum at production; corruption strikes in transit;
-                        # the runner verifies on receipt (IFile-checksum model).
-                        produced_crc = records_checksum(out)
-                        delivered = FaultPlan.corrupt_records(out, task_id)
-                        if records_checksum(delivered) != produced_crc:
-                            raise FaultError(
-                                "corrupted shuffle partition (checksum mismatch)",
-                                task_id=task_id,
-                                attempt=attempt,
-                            )
-                        out = delivered  # pragma: no cover - corruption always detected
-                    if speculative_attempt:
-                        spec_win = True
-                        counters.increment("fault", "speculative_wins")
-                        attempt_span.attrs["speculative_win"] = True
-                    return out, task_counters, elapsed, attempt, failures, spec_win
-                except FaultError as exc:
-                    speculative_attempt = getattr(exc, "speculative", False)
-                    attempt_span.status = "error"
-                    attempt_span.attrs["error"] = str(exc)
-                    self._record_failure(
-                        counters, failures, str(exc), task_id, attempt, policy, exc
-                    )
-                except Exception as exc:
-                    if policy.max_attempts == 1:
-                        raise  # no retries configured: propagate user errors as-is
-                    speculative_attempt = False
-                    attempt_span.status = "error"
-                    attempt_span.attrs["error"] = f"{type(exc).__name__}: {exc}"
-                    self._record_failure(
-                        counters,
-                        failures,
-                        f"{type(exc).__name__}: {exc}",
-                        task_id,
-                        attempt,
-                        policy,
-                        exc,
-                    )
-            delay = policy.backoff_delay(attempt)
-            if delay > 0:
-                time.sleep(delay)
-
-    @staticmethod
-    def _record_failure(
-        counters: Counters,
-        failures: list[str],
-        reason: str,
-        task_id: str,
-        attempt: int,
-        policy: RetryPolicy,
-        cause: Exception,
-    ) -> None:
-        failures.append(reason)
-        counters.increment("fault", "attempts_failed")
-        if attempt >= policy.max_attempts:
-            raise TaskFailedError(task_id, failures) from cause
-        counters.increment("fault", "task_retries")
-
-    @staticmethod
-    def _handle_hang(
-        fault,
-        policy: RetryPolicy,
-        task_id: str,
-        attempt: int,
-        completed_durations: list[float],
-    ) -> None:
-        """Serial model of a hung attempt.
-
-        A hang whose delay crosses the task deadline (``task_timeout``) is
-        abandoned; one that crosses the speculation threshold
-        (``speculative_margin x median completed duration``) is abandoned in
-        favour of a backup attempt — the serial backend runs the backup
-        *after* abandoning the original (it has one thread), so "backup
-        wins" is recorded on the retry.  The multiprocess runner races real
-        concurrent attempts.  Hangs below both thresholds simply sleep: a
-        slow task, not a failure.
-        """
-        spec_deadline = None
-        if policy.speculative_margin > 0 and completed_durations:
-            spec_deadline = policy.speculative_margin * _median(completed_durations)
-        if policy.timeout is not None and fault.delay >= policy.timeout:
-            exc = FaultError(
-                f"attempt abandoned at task_timeout={policy.timeout}s "
-                f"(hang of {fault.delay}s)",
-                task_id=task_id,
-                attempt=attempt,
-            )
-            exc.speculative = policy.speculative_margin > 0
-            raise exc
-        if spec_deadline is not None and fault.delay >= spec_deadline:
-            exc = FaultError(
-                f"straggler: hang of {fault.delay}s exceeds "
-                f"{policy.speculative_margin}x median "
-                f"({_median(completed_durations):.6f}s); speculative backup launched",
-                task_id=task_id,
-                attempt=attempt,
-            )
-            exc.speculative = True
-            raise exc
-        time.sleep(fault.delay)
-
-    # ---- task bodies ------------------------------------------------------
-
-    def _map_split(
-        self, job: MapReduceJob, split: Sequence[tuple], conf: JobConf
-    ) -> tuple[list[tuple], Counters]:
-        """One clean map attempt over a split (fresh counters per attempt)."""
-        task_counters = Counters()
-        out: list[tuple] = []
-        if job.batch_mapper is not None:
-            emitted = job.run_batch_mapper(split, task_counters)
-            if emitted is not None:
-                out.extend(self._validated(emitted, job.name, "batch_mapper"))
-        else:
-            for key, value in split:
-                emitted = job.run_mapper(key, value, task_counters)
-                if emitted is not None:
-                    out.extend(self._validated(emitted, job.name, "mapper"))
-        if conf.use_combiner and job.combiner is not None:
-            out = self._combine(job, out)
-        return out, task_counters
-
-    def _reduce_groups(
-        self, job: MapReduceJob, groups: Sequence[tuple[object, list]]
-    ) -> tuple[list[tuple], Counters]:
-        """One clean reduce attempt over a partition's grouped keys."""
-        task_counters = Counters()
-        out: list[tuple] = []
-        for key, values in groups:
-            emitted = job.run_reducer(key, values, task_counters)
-            if emitted is not None:
-                out.extend(self._validated(emitted, job.name, "reducer"))
-        return out, task_counters
-
-    @staticmethod
-    def _validated(emitted, job_name: str, stage: str):
-        for pair in emitted:
-            if not isinstance(pair, tuple) or len(pair) != 2:
-                raise MapReduceError(
-                    f"{stage} of job {job_name!r} emitted {pair!r}; "
-                    "expected (key, value) tuples"
-                )
-            yield pair
-
-    @staticmethod
-    def _combine(job: MapReduceJob, pairs: list[tuple]) -> list[tuple]:
-        from repro.mapreduce.shuffle import sort_grouped_keys
-
-        grouped: dict[object, list] = defaultdict(list)
-        for key, value in pairs:
-            grouped[key].append(value)
-        out: list[tuple] = []
-        for key in sort_grouped_keys(grouped.keys()):
-            out.extend(job.run_combiner(key, grouped[key]))
-        return out

@@ -2,6 +2,7 @@
 worker crashes, timeout abandonment, racing speculation, single-core
 degradation and unpicklable-job rejection."""
 
+import dataclasses
 import os
 
 import pytest
@@ -199,6 +200,45 @@ class TestDegradationAndRejection:
         assert second.output == first.output
         assert second.counters.get("fault", "tasks_recovered_from_checkpoint") == 6
         assert all(t.recovered for t in second.trace.map_tasks)
+
+    def test_single_worker_crash_retry_is_not_speculative(self):
+        # Speculation is armed, but a crash retry is a plain retry: only a
+        # straggling hang launches a backup that can win.
+        plan = FaultPlan(schedule={("wc", "map", 0, 1): Fault(kind="crash")})
+        result = MultiprocessRunner(num_workers=1, trace=True).run(
+            WORDCOUNT, DOCS, CONF, fault_plan=plan,
+            retry=RetryPolicy(max_attempts=2, speculative_margin=1.5),
+        )
+        assert result.output == clean_output()
+        assert result.trace.map_tasks[0].attempts == 2
+        assert not result.trace.map_tasks[0].speculative_win
+        assert result.counters.get("fault", "speculative_wins") == 0
+
+    def test_pool_accounting_matches_serial_under_slow_node(self):
+        plan = FaultPlan(
+            schedule={
+                ("wc", "map", 1, 1): Fault(kind="slow_node", delay=0.01),
+                ("wc", "reduce", 0, 1): Fault(kind="slow_node", delay=0.01),
+            }
+        )
+        serial = SerialRunner().run(WORDCOUNT, DOCS, CONF, fault_plan=plan)
+        pooled = MultiprocessRunner(num_workers=2, trace=True).run(
+            WORDCOUNT, DOCS, CONF, fault_plan=plan
+        )
+        assert pooled.output == serial.output
+        assert pooled.counters.as_dict() == serial.counters.as_dict()
+        assert pooled.counters.get("fault", "slow_node_delays") == 2
+        assert pooled.counters.get("job", "reduce_input_records") > 0
+
+        def fields(trace):
+            rows = [dataclasses.asdict(t) for t in trace.all_tasks]
+            for row in rows:
+                del row["cpu_seconds"]  # measured, never identical
+            return rows
+
+        assert fields(pooled.trace) == fields(serial.trace)
+        # bytes_in is the cost model's HDFS-read input.
+        assert all(t.bytes_in > 0 for t in pooled.trace.map_tasks)
 
     def test_serial_and_multiprocess_agree_under_faults(self):
         plan = FaultPlan(seed=11, mapper_crash_rate=0.4, max_faulted_attempts=2)

@@ -2,13 +2,18 @@
 final outputs must survive ANY single-task failure schedule, any seeded
 fault rates, and the serial/multiprocess runner choice."""
 
+import dataclasses
+import functools
+import pickle
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.pipeline import MrMCMinH
 from repro.mapreduce.faults import Fault, FaultPlan, RetryPolicy
+from repro.mapreduce.hdfs import SimulatedHDFS
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.local import MultiprocessRunner
 from repro.mapreduce.runner import SerialRunner
@@ -46,6 +51,21 @@ single_faults = st.builds(
 
 CONF = JobConf(num_map_tasks=3, num_reduce_tasks=2)
 POLICY = RetryPolicy(max_attempts=3)
+
+# The serial runner, the multiprocess runner's inline executor and its pool.
+IDENTITY_RUNNERS = (
+    SerialRunner,
+    functools.partial(MultiprocessRunner, 1, trace=True),
+    functools.partial(MultiprocessRunner, 2, trace=True),
+)
+
+
+def _task_fields(trace):
+    """Every TaskTrace field except the measured ``cpu_seconds``."""
+    rows = [dataclasses.asdict(task) for task in trace.all_tasks]
+    for row in rows:
+        del row["cpu_seconds"]
+    return rows
 
 
 class TestFaultProperties:
@@ -120,18 +140,75 @@ class TestFaultProperties:
             t.attempts for t in b.trace.map_tasks
         ]
 
-    @given(docs, st.integers(0, 100))
-    @settings(max_examples=10, deadline=None)
-    def test_serial_and_multiprocess_equivalent_under_chaos(self, texts, seed):
-        """Both backends recover to the same bytes under the same plan."""
+    @given(
+        texts=docs,
+        seed=st.integers(0, 100),
+        use_combiner=st.booleans(),
+        spill=st.sampled_from([None, 0]),
+        sink=st.booleans(),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_serial_and_multiprocess_equivalent_under_chaos(
+        self, texts, seed, use_combiner, spill, sink
+    ):
+        """Every backend recovers to the same bytes, counters and task
+        traces under the same plan.  Hangs stay out: the pool races them
+        by design."""
         inputs = list(enumerate(texts))
-        plan_args = dict(seed=seed, mapper_crash_rate=0.4, max_faulted_attempts=2)
-        serial = SerialRunner(trace=False).run(
-            WORDCOUNT, inputs, CONF,
-            fault_plan=FaultPlan(**plan_args), retry=POLICY,
+        conf = JobConf(
+            num_map_tasks=3,
+            num_reduce_tasks=2,
+            use_combiner=use_combiner,
+            spill_threshold_bytes=spill,
         )
-        parallel = MultiprocessRunner(num_workers=2).run(
-            WORDCOUNT, inputs, CONF,
-            fault_plan=FaultPlan(**plan_args), retry=POLICY,
+
+        def observe(runner):
+            plan = FaultPlan(
+                seed=seed,
+                mapper_crash_rate=0.3,
+                reducer_crash_rate=0.2,
+                corrupt_rate=0.2,
+                slow_node_rate=0.3,
+                slow_node_delay=0.001,
+                max_faulted_attempts=2,
+            )
+            sunk = []
+            result = runner.run(
+                WORDCOUNT, inputs, conf, fault_plan=plan, retry=POLICY,
+                output_sink=sunk.append if sink else None,
+            )
+            counters = {
+                group: names
+                for group, names in result.counters.as_dict().items()
+                if group in ("job", "fault", "shuffle", "wire")
+            }
+            output = pickle.dumps(sunk if sink else result.output)
+            return output, counters, _task_fields(result.trace)
+
+        serial, *others = [observe(make()) for make in IDENTITY_RUNNERS]
+        for other in others:
+            assert other == serial
+
+    def test_wire_pipeline_identical_across_runners(self, two_family_records):
+        """A b-bit wire fit under seeded chaos writes the same TSV and
+        wire counters on every backend."""
+
+        def fit(runner):
+            fs = SimulatedHDFS(num_datanodes=2, block_size=256, seed=0)
+            model = MrMCMinH(
+                kmer_size=5, num_hashes=48, threshold=0.78, method="greedy",
+                estimator="positional", wire_bits=8, seed=0, runner=runner,
+            )
+            MrMCMinH.stage_records(fs, "/in.fasta", two_family_records)
+            run = model.fit_hdfs(fs, "/in.fasta", "/out.tsv")
+            return fs.get_text("/out.tsv"), run.counters.as_dict()["wire"]
+
+        plan = FaultPlan(
+            seed=3, mapper_crash_rate=0.3, corrupt_rate=0.3, max_faulted_attempts=2
         )
-        assert serial.output == parallel.output
+        serial, *others = [
+            fit(make(fault_plan=plan, retry=POLICY)) for make in IDENTITY_RUNNERS
+        ]
+        assert serial[1]["frames"] > 1
+        for other in others:
+            assert other == serial
