@@ -2,12 +2,13 @@
 
 Clusters a >=100k-read synthetic environmental sample (rare-biosphere
 OTU structure, 16S settings k=15) through the MapReduce LSH chain of
-:mod:`repro.cluster.sparse_jobs`, cross-checks the candidate pairs and
-the final assignment against the in-process sparse path, then measures
-the dense all-pairs job at small probe sizes and extrapolates its
-quadratic cost to the target N — showing the dense path cannot complete
-in the same budget (time *or* memory: the similarity matrix alone is
-``8 N^2`` bytes, ~80 GiB at N=100k).
+:mod:`repro.cluster.sparse_jobs` (pigeonhole bands derived from θ),
+cross-checks its edges and final assignment against an exact positional
+reference — brute force over all pairs, independent of any banding —
+then measures the dense all-pairs job at small probe sizes and
+extrapolates its quadratic cost to the target N, showing the dense path
+cannot complete in the same budget (time *or* memory: the similarity
+matrix alone is ``8 N^2`` bytes, ~80 GiB at N=100k).
 
 Usage::
 
@@ -15,10 +16,12 @@ Usage::
     python benchmarks/bench_sparse_scaling.py --smoke          # CI: 2k reads
     python benchmarks/bench_sparse_scaling.py --json OUT.json  # artifact
 
-The JSON artifact carries the candidate-pair count — the same quantity
-bench_trajectory gates exactly at its pinned workload — plus rounds,
+The JSON artifact carries the candidate-pair and edge counts, rounds,
 shuffle bytes and the dense projection, and the script exits non-zero if
-the engine chain ever disagrees with the in-process join.
+the chain's edges or assignment ever differ from the positional
+reference.  Full-size runs cap collision groups at
+:data:`FULL_SIZE_MAX_GROUP`; a capped run is not exact, so it skips the
+reference, which only ``--smoke`` (uncapped) checks.
 """
 
 from __future__ import annotations
@@ -28,20 +31,39 @@ import json
 import sys
 import time
 
-# Paper-flavoured 16S parameterization.  The group cap matters at this
-# scale: the most abundant OTUs put thousands of near-identical reads
-# into one collision group, and an uncapped join enumerates C(s, 2) of
-# them per component (measured: 20k reads -> 133M uncapped candidate
-# pairs vs 0.5M at cap 64).  Hadoop LSH jobs cap exactly this way; both
-# paths here apply the same cap, so the cross-check stays exact.
+# Paper-flavoured 16S parameterization.  Uncapped by default: the chain
+# is exact only at max_group=None.
 DEFAULTS = {
     "sample": "53R",
     "kmer_size": 15,
     "num_hashes": 32,
     "threshold": 0.9,
-    "max_group": 64,
+    "max_group": None,
     "seed": 0,
 }
+
+# One abundant OTU puts thousands of near-identical reads into one band
+# group, and the exact edge set grows as C(s, 2) in it: at 8k reads the
+# uncapped chain verifies 296k candidates for 125k edges, the cap-64 run
+# 45k.  Beyond ~10k reads only a capped run (and no brute-force
+# reference) stays tractable.
+FULL_SIZE_MAX_GROUP = 64
+
+
+def positional_edges(matrix, threshold: float, block: int = 256) -> set:
+    """Every pair ``i < j`` whose positional match fraction is at least
+    ``threshold``, by brute force over blocks of rows (quadratic)."""
+    import numpy as np
+
+    n, num_hashes = matrix.shape
+    edges = set()
+    for start in range(0, n, block):
+        matches = (matrix[start : start + block, None, :] == matrix[None]).sum(axis=2)
+        ii, jj = np.nonzero(matches / num_hashes >= threshold)
+        ii += start
+        upper = ii < jj
+        edges.update(zip(ii[upper].tolist(), jj[upper].tolist()))
+    return edges
 
 
 def measure(
@@ -50,10 +72,8 @@ def measure(
     dense_probes: tuple[int, ...],
     params: dict | None = None,
 ) -> dict:
-    import numpy as np
-
     from repro.cluster.matrix import compute_similarity_matrix
-    from repro.cluster.sparse import candidate_pairs, single_linkage_from_edges
+    from repro.cluster.sparse import single_linkage_from_edges
     from repro.cluster.sparse_jobs import run_sparse_jobs
     from repro.datasets.environmental import generate_environmental_sample
     from repro.minhash.sketch import (
@@ -91,26 +111,16 @@ def measure(
     )
     engine_seconds = time.perf_counter() - t0
 
-    # ---- exactness cross-check vs the in-process sparse path ------------
-    in_process_pairs = candidate_pairs(sketches, max_group=p["max_group"])
-    pairs_ok = run.pairs == in_process_pairs
-    # The engine's verify round scores surviving candidates against the
-    # true sketches (capping truncates collision counts but not the
-    # verification), so the reference is capped candidates + exact
-    # verification — vectorised here with the sketch matrix.
-    matrix = sketch_matrix(sketches)
-    num_hashes = matrix.shape[1]
-    reference = single_linkage_from_edges(
-        [s.read_id for s in sketches],
-        (
-            pair
-            for pair in in_process_pairs
-            if int(np.count_nonzero(matrix[pair[0]] == matrix[pair[1]]))
-            / num_hashes
-            >= p["threshold"]
-        ),
-    )
-    assignment_ok = reference.to_tsv() == run.assignment.to_tsv()
+    # ---- exactness cross-check vs the positional reference -------------
+    edges_ok = assignment_ok = None
+    if p["max_group"] is None:
+        reference = positional_edges(sketch_matrix(sketches), p["threshold"])
+        edges_ok = set(run.edges) == reference
+        assignment_ok = (
+            single_linkage_from_edges([s.read_id for s in sketches], reference)
+            .to_tsv()
+            == run.assignment.to_tsv()
+        )
 
     # ---- dense probes + quadratic projection ----------------------------
     probe_rows = []
@@ -141,8 +151,8 @@ def measure(
         "clusters": run.assignment.num_clusters,
         "rounds": run.rounds,
         "shuffle_bytes": run.shuffle_bytes,
-        "pairs_match_in_process": pairs_ok,
-        "assignment_match_in_process": assignment_ok,
+        "edges_match_positional": edges_ok,
+        "assignment_match_positional": assignment_ok,
         "dense_probes": probe_rows,
         "dense_projected_seconds": round(dense_projection, 1),
         "dense_matrix_gib": round(dense_matrix_gib, 2),
@@ -168,9 +178,9 @@ def render(result: dict) -> str:
         f"({pairs_per_read:.1f}/read vs {result['num_reads'] - 1} dense)",
         f"  above-theta edges     {result['edges']:>10d}",
         f"  clusters              {result['clusters']:>10d}",
-        f"  pairs == in-process   {str(result['pairs_match_in_process']):>10s}",
-        f"  tsv   == in-process   "
-        f"{str(result['assignment_match_in_process']):>10s}",
+        f"  edges == positional   {str(result['edges_match_positional']):>10s}",
+        f"  tsv   == positional   "
+        f"{str(result['assignment_match_positional']):>10s}",
         "  dense all-pairs probes:",
     ]
     for row in result["dense_probes"]:
@@ -195,11 +205,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.smoke:
-        num_reads, probes = 2000, (250, 500, 1000)
+        num_reads, probes, max_group = 2000, (250, 500, 1000), None
     else:
         num_reads, probes = args.reads, (1000, 2000, 4000)
+        max_group = FULL_SIZE_MAX_GROUP
 
-    result = measure(num_reads, dense_probes=probes)
+    result = measure(
+        num_reads, dense_probes=probes, params={"max_group": max_group}
+    )
     result["smoke"] = bool(args.smoke)
     print(render(result))
     if args.json:
@@ -208,11 +221,11 @@ def main(argv: list[str] | None = None) -> int:
             fh.write("\n")
         print(f"wrote {args.json}")
 
-    if not (
-        result["pairs_match_in_process"]
-        and result["assignment_match_in_process"]
+    if max_group is None and not (
+        result["edges_match_positional"]
+        and result["assignment_match_positional"]
     ):
-        print("FAIL: engine chain diverged from the in-process sparse path")
+        print("FAIL: engine chain diverged from the positional reference")
         return 1
     return 0
 

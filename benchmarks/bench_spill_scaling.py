@@ -6,9 +6,10 @@ bounded ``spill_threshold_bytes`` — map output past the threshold is
 sorted and spilled to CRC-guarded segment files and merge-iterated back,
 and the verified edges feed the clusterer incrementally, so the driver
 never holds the scored candidate-pair list (``run.pairs`` stays empty;
-only counts come back).  The run is cross-checked against the vectorised
-in-process sparse path: same candidate-pair count, byte-identical
-assignment TSV.
+only counts come back).  The run is cross-checked against an exact
+positional reference (brute force over all pairs, see
+``bench_sparse_scaling.positional_edges``): same edge count,
+byte-identical assignment TSV.
 
 Usage::
 
@@ -21,7 +22,10 @@ sketches and requires the spilled+streamed run to be byte-identical to
 it (threshold 0 = spill every buffer), which is the same exact parity
 gate bench_trajectory pins at its own workload.  The script exits
 non-zero if any parity check fails or if spilling/streaming did not
-actually engage.
+actually engage.  Full-size runs cap collision groups at
+``bench_sparse_scaling.FULL_SIZE_MAX_GROUP``: at 1M reads the exact edge
+set is out of reach.  A capped run is not exact, so it skips the
+reference, which only ``--smoke`` (uncapped) checks.
 """
 
 from __future__ import annotations
@@ -35,14 +39,7 @@ import time
 # Same paper-flavoured 16S parameterization as bench_sparse_scaling, so
 # the two artifacts compose: this one pushes N another order of
 # magnitude and bounds driver memory instead of measuring dense decay.
-DEFAULTS = {
-    "sample": "53R",
-    "kmer_size": 15,
-    "num_hashes": 32,
-    "threshold": 0.9,
-    "max_group": 64,
-    "seed": 0,
-}
+from bench_sparse_scaling import DEFAULTS, FULL_SIZE_MAX_GROUP, positional_edges
 
 
 def _max_rss_mib() -> float:
@@ -57,9 +54,7 @@ def measure(
     smoke: bool = False,
     params: dict | None = None,
 ) -> dict:
-    import numpy as np
-
-    from repro.cluster.sparse import candidate_pairs, single_linkage_from_edges
+    from repro.cluster.sparse import single_linkage_from_edges
     from repro.cluster.sparse_jobs import run_sparse_jobs
     from repro.datasets.environmental import generate_environmental_sample
     from repro.minhash.sketch import (
@@ -114,22 +109,16 @@ def measure(
     spill_records = run.counters.get("shuffle", "spill_records")
     spilled_ok = spill_segments > 0
 
-    # ---- exactness cross-check vs the in-process sparse path ------------
-    in_process_pairs = candidate_pairs(sketches, max_group=p["max_group"])
-    pairs_ok = run.candidate_pair_count == len(in_process_pairs)
-    matrix = sketch_matrix(sketches)
-    num_hashes = matrix.shape[1]
-    reference = single_linkage_from_edges(
-        [s.read_id for s in sketches],
-        (
-            pair
-            for pair in in_process_pairs
-            if int(np.count_nonzero(matrix[pair[0]] == matrix[pair[1]]))
-            / num_hashes
-            >= p["threshold"]
-        ),
-    )
-    assignment_ok = reference.to_tsv() == run.assignment.to_tsv()
+    # ---- exactness cross-check vs the positional reference -------------
+    edges_ok = assignment_ok = None
+    if p["max_group"] is None:
+        reference = positional_edges(sketch_matrix(sketches), p["threshold"])
+        edges_ok = run.edge_count == len(reference)
+        assignment_ok = (
+            single_linkage_from_edges([s.read_id for s in sketches], reference)
+            .to_tsv()
+            == run.assignment.to_tsv()
+        )
 
     result = {
         "num_reads": num_reads,
@@ -150,8 +139,8 @@ def measure(
         "max_rss_mib_after_engine": round(rss_after_engine, 1),
         "streamed": streamed_ok,
         "spilled": spilled_ok,
-        "pairs_match_in_process": pairs_ok,
-        "assignment_match_in_process": assignment_ok,
+        "edges_match_positional": edges_ok,
+        "assignment_match_positional": assignment_ok,
     }
 
     # ---- smoke extra: byte parity vs the unspilled, collected chain -----
@@ -196,9 +185,9 @@ def render(result: dict) -> str:
         f"  spill records         {result['spill_records']:>12d}",
         f"  driver max RSS        {result['max_rss_mib_after_engine']:>12.1f}"
         " MiB",
-        f"  pairs == in-process   {str(result['pairs_match_in_process']):>12s}",
-        f"  tsv   == in-process   "
-        f"{str(result['assignment_match_in_process']):>12s}",
+        f"  edges == positional   {str(result['edges_match_positional']):>12s}",
+        f"  tsv   == positional   "
+        f"{str(result['assignment_match_positional']):>12s}",
     ]
     if "spilled_matches_unspilled" in result:
         lines.append(
@@ -225,12 +214,16 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.smoke:
-        num_reads, threshold = 2000, 0
+        num_reads, threshold, max_group = 2000, 0, None
     else:
         num_reads, threshold = args.reads, args.spill_threshold
+        max_group = FULL_SIZE_MAX_GROUP
 
     result = measure(
-        num_reads, spill_threshold_bytes=threshold, smoke=args.smoke
+        num_reads,
+        spill_threshold_bytes=threshold,
+        smoke=args.smoke,
+        params={"max_group": max_group},
     )
     result["smoke"] = bool(args.smoke)
     print(render(result))
@@ -243,9 +236,12 @@ def main(argv: list[str] | None = None) -> int:
     checks = [
         ("streamed", "driver collected records despite stream=True"),
         ("spilled", "no spill segments were written"),
-        ("pairs_match_in_process", "candidate-pair count diverged"),
-        ("assignment_match_in_process", "assignment TSV diverged"),
     ]
+    if max_group is None:
+        checks += [
+            ("edges_match_positional", "edge count diverged"),
+            ("assignment_match_positional", "assignment TSV diverged"),
+        ]
     if args.smoke:
         checks.append(
             ("spilled_matches_unspilled", "spilled run != unspilled run")

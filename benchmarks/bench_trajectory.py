@@ -80,7 +80,16 @@ WORKLOAD = {
 #       count is a pure function of the workload), and
 #       ``shuffle_spill_bytes`` (tolerance — pickle sizes may shift
 #       across python versions).
-SCHEMA_VERSION = 5
+#   6 — the engine chain's clustering runs derive pigeonhole bands from θ
+#       (11 bands at n=100, θ=0.9) instead of one band per position.
+#       Adds ``sparse_cluster_candidate_pairs`` (exact gate: 13,423
+#       verified candidates vs the collision join's 19,900, asserted to
+#       yield exactly the 874 positional edges and the band_size=1 TSV).
+#       ``sparse_candidate_pairs`` keeps gating the band_size=1 join.
+#       ``shuffle_spill_bytes`` drops (1,757,012 -> 1,265,074 at the
+#       schema-5 baseline) because the spilled clustering run now shuffles
+#       the smaller candidate set; ``spill_segments`` stays 64.
+SCHEMA_VERSION = 6
 
 
 def _best_of(rounds: int, fn) -> float:
@@ -187,6 +196,8 @@ def collect(
     ``chrome_trace`` additionally export that run's JSONL event log and
     Chrome trace (the CI perf job uploads both as artifacts).
     """
+    import numpy as np
+
     from repro.cluster.pipeline import MrMCMinH
     from repro.obs import Tracer, build_report, write_chrome_trace
     from repro.cluster.sparse import candidate_pair_arrays
@@ -195,6 +206,7 @@ def collect(
         SketchingConfig,
         compute_sketch,
         compute_sketches_batch,
+        sketch_matrix,
     )
 
     w = dict(WORKLOAD)
@@ -240,13 +252,30 @@ def collect(
             "engine-sparse candidate pairs diverged from the in-process join"
         )
 
-    # -- spilled + streamed vs in-memory parity (external shuffle) --------
+    # -- pigeonhole banding: fewer candidates, the same edges -------------
     from repro.cluster.sparse_jobs import engine_sparse_cluster
 
+    mem_cluster = engine_sparse_cluster(sketches, w["threshold"])
+    band1_cluster = engine_sparse_cluster(sketches, w["threshold"], band_size=1)
+    ii, jj, _ = candidate_pair_arrays(sketches)
+    matrix = sketch_matrix(sketches)
+    hits = (
+        np.count_nonzero(matrix[ii] == matrix[jj], axis=1) / matrix.shape[1]
+        >= w["threshold"]
+    )
+    positional_edges = set(zip(ii[hits].tolist(), jj[hits].tolist()))
+    if (
+        set(mem_cluster.edges) != positional_edges
+        or mem_cluster.assignment.to_tsv() != band1_cluster.assignment.to_tsv()
+    ):
+        raise AssertionError(
+            "pigeonhole-banded chain diverged from the exact positional edges"
+        )
+
+    # -- spilled + streamed vs in-memory parity (external shuffle) --------
     spilled_pairs, spill_run = engine_candidate_pairs(
         sketches, spill_threshold_bytes=0
     )
-    mem_cluster = engine_sparse_cluster(sketches, w["threshold"])
     spill_cluster = engine_sparse_cluster(
         sketches, w["threshold"], stream=True, spill_threshold_bytes=0
     )
@@ -335,6 +364,16 @@ def collect(
             # cross-checked against the in-process join above, so any
             # drift is a correctness bug in one of the two paths.
             "value": len(engine_pairs),
+            "unit": "pairs",
+            "direction": "lower",
+            "tolerance": 0.0,
+            "exact": True,
+        },
+        "sparse_cluster_candidate_pairs": {
+            # Candidates the clustering run verifies under pigeonhole
+            # banding; asserted above to yield exactly the positional
+            # edges, so a drift means the band derivation moved.
+            "value": mem_cluster.candidate_pair_count,
             "unit": "pairs",
             "direction": "lower",
             "tolerance": 0.0,

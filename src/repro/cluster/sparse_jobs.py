@@ -7,7 +7,7 @@ Sunarso et al. (*Scalable Protein Sequence Similarity Search using LSH
 and MapReduce*) applied to the paper's min-hash sketches::
 
     job 1  "lsh-candidates"
-        map     sketch i            -> ((band_index, band_hash), i)
+        map     sketch i            -> ((band_index, band_values), i)
         reduce  collision group     -> ((i, j), 1) deduplicated pairs
     job 2  "verify-candidates"
         map     identity            (combiner sums per-pair multiplicity)
@@ -16,24 +16,34 @@ and MapReduce*) applied to the paper's min-hash sketches::
     driver  above-threshold edges   -> union-find / greedy sweep
                                         (repro.cluster.sparse helpers)
 
-With ``band_size=1`` (the default) the banding key is ``(hash index,
-min-hash value)`` — exactly the grouping of
-:func:`repro.cluster.sparse.candidate_pairs` — so the chain's candidate
-pairs, collision counts and final assignments are **byte-identical** to
-the in-process path for the exact shapes (single linkage, positional
-greedy, θ > 0, ``max_group=None``).  Wider bands hash ``band_size``
-consecutive components into one key with the engine's process-stable
-hash; banding then under-generates relative to the collision join (only
-full-band matches collide), trading recall for fewer candidates, and the
-verify job is what keeps precision exact.
+**Pigeonhole bands** (the default whenever a threshold is given).  A pair
+the verifier accepts matches in at least ``θ·n`` of the ``n`` positions,
+so it has at most ``m`` mismatches, where ``m`` is the largest ``k`` with
+``(n - k) / n >= θ`` (:func:`max_mismatches`, evaluated with the verify
+reducer's own float comparison).  Splitting the positions into ``m + 1``
+disjoint contiguous bands (:func:`pigeonhole_bands`; widths differ by at
+most one, e.g. 50 positions at θ=0.95 -> 17/17/16) leaves at least one
+band with no mismatch, so every edge collides on some band key: the
+candidates are a superset of the edges, and since job 2 re-scores each
+candidate, the edge set — and the assignment — is exactly the one every
+other exact path produces.  Band keys are the raw band value tuples, so
+no hash collision can merge groups.
 
-The verify round always scores pairs against the *side-data sketches*,
-not the shuffled collision multiplicities.  The two are equal when no
-group is capped; with ``max_group`` set, capping truncates collision
-counts (the in-process paths threshold those truncated counts) while the
-verify job restores the true positional match over the surviving
-candidates — the engine chain is at least as accurate as the in-process
-capped join, at the cost of exact equivalence under capping.
+``band_size=1`` (and ``threshold=None``, i.e. :func:`engine_candidate_pairs`)
+keys on ``(hash index, min-hash value)`` — exactly the grouping of
+:func:`repro.cluster.sparse.candidate_pairs` — so the chain's candidate
+pairs and collision counts equal the in-process join's.  An explicit
+wider ``band_size`` keeps fixed-width bands, trading recall for fewer
+candidates (not exact).
+
+Exactness conditions: ``max_group=None`` (a cap drops whole band groups,
+and with them possibly the one band an edge matched on) and
+``min_shared=1`` (with pigeonhole bands collision counts count bands, not
+positions, so ``min_shared > 1`` is rejected).  Under those, single
+linkage and positional greedy are byte-identical to the in-process and
+dense-positional paths.  Banding and verification both use the side-data
+matrix, so with ``wire_bits`` the bands cover the same low-bit values the
+verifier compares against ``effective_threshold(θ, b)``.
 
 Following Ene et al. (*Fast Clustering using MapReduce*), the chain is
 measured in **rounds** and **shuffle bytes**, not just wall-clock:
@@ -61,7 +71,7 @@ from repro.cluster.sparse import (
 )
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.job import MapReduceJob, identity_mapper
-from repro.mapreduce.types import JobConf, JobTrace, stable_hash
+from repro.mapreduce.types import JobConf, JobTrace
 from repro.minhash.sketch import MinHashSketch, sketch_matrix
 from repro.minhash.wire import effective_threshold, pack_values, unpack_values
 from repro.obs.trace import current_tracer
@@ -132,28 +142,56 @@ class SketchSideData:
 # ------------------------------------------------------------ job 1: bands
 
 
-class LshBandMapper:
-    """Emit ``((band_index, band_hash), sketch_index)`` for every band.
+def max_mismatches(num_hashes: int, threshold: float) -> int:
+    """Largest ``m`` with ``(num_hashes - m) / num_hashes >= threshold``.
 
-    ``band_size=1`` reproduces the collision join of
-    :mod:`repro.cluster.sparse` exactly: the band hash *is* the min-hash
-    value and the band index is the hash index.  Wider bands hash the
-    component tuple with :func:`~repro.mapreduce.types.stable_hash` so
-    keys stay process-stable across the multiprocess runner's workers.
+    The expression is the verify reducer's own (``matches / num_hashes``
+    compared with ``>=``), so a pair it accepts never has more than ``m``
+    mismatching positions.  ``threshold`` must be in ``(0, 1]``.
+    """
+    m = 0
+    while (num_hashes - m - 1) / num_hashes >= threshold:
+        m += 1
+    return m
+
+
+def band_bounds(num_hashes: int, num_bands: int) -> tuple[tuple[int, int], ...]:
+    """``num_bands`` disjoint contiguous ``(start, stop)`` bands covering
+    every position; widths differ by at most one, wider bands first."""
+    width, extra = divmod(num_hashes, num_bands)
+    bounds = []
+    start = 0
+    for b in range(num_bands):
+        stop = start + width + (b < extra)
+        bounds.append((start, stop))
+        start = stop
+    return tuple(bounds)
+
+
+def pigeonhole_bands(num_hashes: int, threshold: float) -> tuple[tuple[int, int], ...]:
+    """``m + 1`` bands (``m = max_mismatches``): every pair at or above
+    ``threshold`` matches fully on at least one of them."""
+    return band_bounds(num_hashes, max_mismatches(num_hashes, threshold) + 1)
+
+
+class LshBandMapper:
+    """Emit ``((band_index, band_key), sketch_index)`` for every band.
+
+    ``bounds`` are ``(start, stop)`` position ranges.  A one-position
+    band keys on the min-hash value itself, so width-1 bands reproduce the
+    collision join of :mod:`repro.cluster.sparse` exactly; wider bands key
+    on the raw value tuple, so distinct bands never share a group.
     """
 
-    def __init__(self, band_size: int = 1):
-        self.band_size = band_size
+    def __init__(self, bounds: Sequence[tuple[int, int]]):
+        self.bounds = tuple(bounds)
 
     def __call__(self, key, values):
-        r = self.band_size
-        if r == 1:
-            for h, value in enumerate(values):
-                yield (h, int(value)), key
-            return
-        for b in range(len(values) // r):
-            band = tuple(int(v) for v in values[b * r : (b + 1) * r])
-            yield (b, stable_hash(band)), key
+        for b, (start, stop) in enumerate(self.bounds):
+            if stop - start == 1:
+                yield (b, values[start]), key
+            else:
+                yield (b, tuple(values[start:stop])), key
 
 
 class CandidatePairReducer:
@@ -246,7 +284,8 @@ class SparseEngineRun:
     counters: Counters
     timings: dict[str, float]
     threshold: float | None
-    band_size: int = 1
+    bands: tuple[tuple[int, int], ...] = ()
+    """The ``(start, stop)`` position range of every LSH band."""
     wire_bits: int | None = None
     side_data_bytes: int = 0
     candidate_pair_count: int = 0
@@ -279,7 +318,7 @@ def run_sparse_jobs(
     *,
     method: str = "hierarchical",
     runner=None,
-    band_size: int = 1,
+    band_size: int | None = None,
     min_shared: int = 1,
     max_group: int | None = None,
     wire_bits: int | None = None,
@@ -300,8 +339,15 @@ def run_sparse_jobs(
         edge stream) or ``"greedy"`` (Algorithm 1's sweep, positional
         estimator semantics).
     band_size:
-        Sketch components per LSH band; must divide ``num_hashes``.
-        ``1`` is exact w.r.t. the in-process collision join.
+        ``None`` (default) derives pigeonhole bands from the threshold
+        (:func:`pigeonhole_bands`), or one band per position when
+        ``threshold`` is ``None``.  An int fixes the band width; it must
+        divide ``num_hashes``.  ``1`` yields exactly the in-process
+        collision join's candidates.
+    min_shared:
+        Drop candidates colliding in fewer bands.  Must be ``1`` with
+        pigeonhole bands, where a count of bands says nothing about
+        positional similarity.
     wire_bits:
         Verify against b-bit packed side-data sketches instead of full
         precision; edges are thresholded at
@@ -335,11 +381,6 @@ def run_sparse_jobs(
         )
     matrix = sketch_matrix(sketches)  # validates family compatibility
     n, num_hashes = matrix.shape
-    if band_size < 1 or num_hashes % band_size != 0:
-        raise SparseCompatibilityError(
-            f"band_size must be >= 1 and divide num_hashes "
-            f"({num_hashes}), got {band_size}"
-        )
     if threshold is not None and not 0.0 < threshold <= 1.0:
         raise ClusteringError(
             f"threshold must be in (0, 1] for the sparse path, got {threshold}"
@@ -347,6 +388,22 @@ def run_sparse_jobs(
     theta = threshold
     if threshold is not None and wire_bits is not None:
         theta = effective_threshold(threshold, wire_bits)
+    if band_size is None and theta is not None:
+        if min_shared > 1:
+            raise SparseCompatibilityError(
+                f"min_shared={min_shared} with pigeonhole bands would drop "
+                "true edges (collisions count bands, not positions); pass "
+                "band_size=1 to filter on shared positions"
+            )
+        bounds = pigeonhole_bands(num_hashes, theta)
+    else:
+        width = 1 if band_size is None else band_size
+        if width < 1 or num_hashes % width != 0:
+            raise SparseCompatibilityError(
+                f"band_size must be >= 1 and divide num_hashes "
+                f"({num_hashes}), got {width}"
+            )
+        bounds = band_bounds(num_hashes, num_hashes // width)
 
     runner = runner or SerialRunner()
     tracer = current_tracer()
@@ -359,15 +416,18 @@ def run_sparse_jobs(
     with tracer.span(
         "phase:lsh-candidates",
         kind="phase",
-        band_size=band_size,
+        bands=len(bounds),
         num_records=n,
     ):
+        # Band the values the verifier compares: with wire_bits those are
+        # the low b bits, where a pair may match without matching in full.
+        side = SketchSideData.pack(matrix, wire_bits)
         band_job = MapReduceJob(
             name="lsh-candidates",
-            mapper=LshBandMapper(band_size),
+            mapper=LshBandMapper(bounds),
             reducer=CandidatePairReducer(max_group),
         )
-        inputs = [(i, s.values.tolist()) for i, s in enumerate(sketches)]
+        inputs = list(enumerate(side.matrix().tolist()))
         band_result = runner.run(
             band_job,
             inputs,
@@ -390,7 +450,6 @@ def run_sparse_jobs(
         candidate_records=len(band_result.output),
         wire_bits=wire_bits,
     ):
-        side = SketchSideData.pack(matrix, wire_bits)
         verify_job = MapReduceJob(
             name="verify-candidates",
             mapper=identity_mapper,
@@ -477,7 +536,7 @@ def run_sparse_jobs(
         counters=counters,
         timings=timings,
         threshold=threshold,
-        band_size=band_size,
+        bands=bounds,
         wire_bits=wire_bits,
         side_data_bytes=side.nbytes,
         candidate_pair_count=pair_count,
@@ -519,7 +578,7 @@ def engine_sparse_cluster(
     *,
     method: str = "hierarchical",
     runner=None,
-    band_size: int = 1,
+    band_size: int | None = None,
     max_group: int | None = None,
     wire_bits: int | None = None,
     num_map_tasks: int = 4,
@@ -529,11 +588,14 @@ def engine_sparse_cluster(
 ) -> SparseEngineRun:
     """Cluster through the job chain.
 
-    At ``band_size=1`` / ``wire_bits=None`` the assignment is
-    byte-identical to :func:`repro.cluster.sparse.sparse_single_linkage`
+    With pigeonhole bands (``band_size=None``, the default) or
+    ``band_size=1``, ``max_group=None`` and ``wire_bits=None``, the
+    assignment is byte-identical to the uncapped
+    :func:`repro.cluster.sparse.sparse_single_linkage`
     (``method="hierarchical"``) or
     :func:`repro.cluster.sparse.sparse_greedy_cluster`
-    (``method="greedy"``) at the same ``max_group`` — streamed or not.
+    (``method="greedy"``) — streamed or not.  A ``max_group`` cap drops
+    candidates the two paths count differently, so it voids the identity.
     """
     if threshold is None:
         raise ClusteringError("engine_sparse_cluster requires a threshold")

@@ -157,6 +157,13 @@ def test_committed_snapshot_is_wellformed():
         metrics["shuffle_bytes_wire"]["value"]
         < metrics["shuffle_bytes_raw"]["value"]
     )
+    # Pigeonhole banding (schema 6) verifies fewer candidates than the
+    # collision join; both are exact gates.
+    assert metrics["sparse_cluster_candidate_pairs"]["exact"] is True
+    assert (
+        metrics["sparse_cluster_candidate_pairs"]["value"]
+        < metrics["sparse_candidate_pairs"]["value"]
+    )
     # Service section (schema 3): structural shed rate gates exactly —
     # 2 tenants x 6 jobs into depth-2 queues sheds 8 of 12.
     assert metrics["service_shed_rate"]["exact"] is True

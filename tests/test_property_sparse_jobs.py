@@ -8,6 +8,13 @@ exactness is guaranteed: byte-identical TSV for sparse vs engine-sparse
 sparse greedy, and partition-equal clusters for dense vs sparse single
 linkage (the dense dendrogram numbers clusters differently from the
 union-find sweep, so equality is of the partition, not the label bytes).
+
+The pigeonhole net plants near-duplicate rows (a copy with a few
+positions redrawn) so that many pairs sit just above and just below θ,
+and checks the default, threshold-derived banding finds exactly the
+brute-force positional edges — across both methods, full-precision and
+b-bit side data, in-memory and spill-everything shuffles, and the serial
+and pooled runners.
 """
 
 import numpy as np
@@ -22,8 +29,16 @@ from repro.cluster.sparse import (
     sparse_greedy_cluster,
     sparse_single_linkage,
 )
-from repro.cluster.sparse_jobs import engine_candidate_pairs, engine_sparse_cluster
+from repro.cluster.sparse_jobs import (
+    ENGINE_METHODS,
+    engine_candidate_pairs,
+    engine_sparse_cluster,
+    run_sparse_jobs,
+)
+from repro.mapreduce.local import MultiprocessRunner
+from repro.mapreduce.runner import SerialRunner
 from repro.minhash.sketch import sketches_from_matrix
+from repro.minhash.wire import effective_threshold
 
 # Small universes force plenty of collisions; n in [4, 24] keeps the
 # num_hashes/threshold grid interesting without slowing the suite.
@@ -40,6 +55,38 @@ matrices = st.integers(min_value=0, max_value=2**32 - 1).flatmap(
 )
 
 thresholds = st.sampled_from([0.1, 0.2, 0.35, 0.5, 0.75, 0.9, 1.0])
+
+
+def _planted(seed, records, num_hashes, universe, copies):
+    rng = np.random.default_rng(seed)
+    base = rng.integers(0, universe, size=(records, num_hashes))
+    rows = [base]
+    for _ in range(copies):
+        row = base[rng.integers(records)].copy()
+        redraw = rng.choice(num_hashes, size=rng.integers(0, num_hashes // 3 + 1),
+                            replace=False)
+        # Half the edits only touch bits above the low byte: the copy then
+        # matches its source in 8-bit space but not at full precision.
+        high_only = rng.integers(0, 2, size=redraw.size).astype(bool)
+        row[redraw] = np.where(
+            high_only,
+            row[redraw] + 256 * rng.integers(1, 4, size=redraw.size),
+            rng.integers(0, universe, size=redraw.size),
+        )
+        rows.append(row[None, :])
+    return np.concatenate(rows).astype(np.int64)
+
+
+# Random rows plus near-duplicate copies of them; the wide universe makes
+# full values rarely collide while their low 8 bits still can.
+planted_matrices = st.builds(
+    _planted,
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=2, max_value=12),        # base records
+    st.integers(min_value=4, max_value=40),        # hashes
+    st.sampled_from([3, 1 << 20]),                 # universe
+    st.integers(min_value=1, max_value=12),        # planted copies
+)
 
 
 def make_sketches(values):
@@ -113,3 +160,47 @@ def test_single_linkage_dense_vs_sparse_same_partition(values, threshold):
         return {frozenset(members) for members in clusters.values()}
 
     assert partition(dense) == partition(sparse)
+
+
+def positional_edges(values, theta):
+    """Brute force: every pair whose match fraction is at least ``theta``."""
+    n, num_hashes = values.shape
+    matches = (values[:, None, :] == values[None, :, :]).sum(axis=2)
+    return {
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if int(matches[i, j]) / num_hashes >= theta
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    values=planted_matrices,
+    threshold=thresholds,
+    method=st.sampled_from(ENGINE_METHODS),
+    wire_bits=st.sampled_from([None, 8]),
+    spill_threshold_bytes=st.sampled_from([None, 0]),
+    pooled=st.booleans(),
+)
+def test_pigeonhole_edges_equal_brute_force_and_band1_tsv(
+    values, threshold, method, wire_bits, spill_threshold_bytes, pooled
+):
+    sketches = make_sketches(values)
+    runner = MultiprocessRunner(2) if pooled else SerialRunner()
+    options = dict(
+        method=method,
+        runner=runner,
+        wire_bits=wire_bits,
+        spill_threshold_bytes=spill_threshold_bytes,
+    )
+    run = run_sparse_jobs(sketches, threshold, **options)
+    if wire_bits is None:
+        compared, theta = values, threshold
+    else:
+        compared = values & ((1 << wire_bits) - 1)
+        theta = effective_threshold(threshold, wire_bits)
+    assert set(run.edges) == positional_edges(compared, theta)
+    band1 = run_sparse_jobs(sketches, threshold, band_size=1, **options)
+    assert set(run.pairs) <= set(band1.pairs)
+    assert run.assignment.to_tsv() == band1.assignment.to_tsv()

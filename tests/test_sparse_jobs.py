@@ -12,8 +12,11 @@ from repro.cluster.sparse import (
 from repro.cluster.sparse_jobs import (
     LshBandMapper,
     SketchSideData,
+    band_bounds,
     engine_candidate_pairs,
     engine_sparse_cluster,
+    max_mismatches,
+    pigeonhole_bands,
     run_sparse_jobs,
 )
 from repro.errors import ClusteringError, SparseCompatibilityError
@@ -99,7 +102,95 @@ class TestClusteringParity:
         assert run.threshold is None
 
 
+THETA_GRID = (
+    0.01, 0.1, 0.125, 0.2, 0.25, 1 / 3, 0.35, 0.5, 0.6, 2 / 3, 0.7, 0.75,
+    0.8, 0.85, 0.9, 0.95, 0.97, 0.99, 1.0,
+)
+
+
+def brute_force_edges(matrix, theta):
+    """Every pair whose positional match fraction is at least ``theta``."""
+    n, num_hashes = matrix.shape
+    return {
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if int(np.count_nonzero(matrix[i] == matrix[j])) / num_hashes >= theta
+    }
+
+
+class TestPigeonholeBands:
+    def test_max_mismatches_exhaustive(self):
+        for n in range(1, 129):
+            # The grid plus every attainable match fraction k/n: the
+            # thresholds where an off-by-one in m would show.
+            for theta in THETA_GRID + tuple(k / n for k in range(1, n + 1)):
+                m = max_mismatches(n, theta)
+                assert (n - m) / n >= theta, (n, theta, m)
+                assert (n - m - 1) / n < theta, (n, theta, m)
+
+    @pytest.mark.parametrize(
+        "n, theta, m",
+        [
+            (100, 0.9, 10), (50, 0.95, 2), (10, 0.7, 3), (3, 1 / 3, 2),
+            (32, 1.0, 0), (25, 7 / 25, 18),
+        ],
+    )
+    def test_float_edge_cases(self, n, theta, m):
+        # (7 / 25) * 25 == 7.000000000000001: n - ceil(theta * n) would be
+        # one short and miss pairs at exactly 7/25, which the verifier
+        # accepts.
+        assert max_mismatches(n, theta) == m
+
+    def test_bands_partition_the_positions(self):
+        for n in range(1, 129):
+            for num_bands in range(1, n + 1):
+                bounds = band_bounds(n, num_bands)
+                assert len(bounds) == num_bands
+                assert bounds[0][0] == 0 and bounds[-1][1] == n
+                assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+                widths = [stop - start for start, stop in bounds]
+                assert max(widths) - min(widths) <= 1 and min(widths) >= 1
+
+    def test_sixteen_s_shape_bands(self):
+        assert pigeonhole_bands(50, 0.95) == ((0, 17), (17, 34), (34, 50))
+        assert len(pigeonhole_bands(100, 0.9)) == 11
+
+    def test_default_banding_follows_the_threshold(self):
+        sketches = make_sketches()
+        assert run_sparse_jobs(sketches, 0.75).bands == pigeonhole_bands(16, 0.75)
+        assert run_sparse_jobs(sketches).bands == band_bounds(16, 16)
+        run = run_sparse_jobs(sketches, 0.5, wire_bits=2)
+        assert run.bands == pigeonhole_bands(16, effective_threshold(0.5, 2))
+
+    @pytest.mark.parametrize(
+        "bits, threshold", [(2, 0.5), (1, 0.6), (2, 0.3)]
+    )
+    @pytest.mark.parametrize("band_size", [None, 1])
+    def test_bbit_chain_finds_low_bit_only_edges(self, bits, threshold, band_size):
+        # Wide universe: full values rarely collide, low bits often do.
+        rng = np.random.default_rng(bits * 10 + int(threshold * 10))
+        values = rng.integers(0, 1 << 20, size=(60, 16)).astype(np.int64)
+        sketches = sketches_from_matrix(
+            values, [f"r{i}" for i in range(60)], (16, 1 << 30, 0)
+        )
+        run = run_sparse_jobs(
+            sketches, threshold, wire_bits=bits, band_size=band_size
+        )
+        low = values & ((1 << bits) - 1)
+        expected = brute_force_edges(low, effective_threshold(threshold, bits))
+        assert expected
+        assert set(run.edges) == expected
+
+
 class TestValidation:
+    def test_min_shared_rejected_with_pigeonhole_bands(self):
+        with pytest.raises(SparseCompatibilityError, match="min_shared"):
+            run_sparse_jobs(make_sketches(), 0.5, min_shared=2)
+        # Fixed-width bands still filter on shared positions.
+        run = run_sparse_jobs(make_sketches(), 0.5, min_shared=2, band_size=1)
+        assert all(c >= 2 for c in run.pairs.values())
+
     def test_empty_sketches_rejected(self):
         with pytest.raises(ClusteringError, match="no sketches"):
             run_sparse_jobs([])
@@ -150,15 +241,20 @@ class TestSideData:
 
 class TestMapperSemantics:
     def test_band1_key_is_hash_index_and_value(self):
-        mapper = LshBandMapper(1)
+        mapper = LshBandMapper(band_bounds(3, 3))
         out = list(mapper(7, [10, 20, 30]))
         assert out == [((0, 10), 7), ((1, 20), 7), ((2, 30), 7)]
 
     def test_wide_bands_emit_one_key_per_band(self):
-        mapper = LshBandMapper(2)
+        mapper = LshBandMapper(band_bounds(4, 2))
         out = list(mapper(3, [10, 20, 30, 40]))
         assert [k[0] for k, _ in out] == [0, 1]
         assert all(v == 3 for _, v in out)
+
+    def test_unequal_bands_key_on_raw_value_tuples(self):
+        mapper = LshBandMapper(band_bounds(5, 2))
+        out = list(mapper(4, [1, 2, 3, 4, 5]))
+        assert out == [((0, (1, 2, 3)), 4), ((1, (4, 5)), 4)]
 
 
 class TestObservability:
