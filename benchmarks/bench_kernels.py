@@ -7,8 +7,6 @@ per-record overhead, and the agglomerative clustering step.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.cluster.hierarchical import build_dendrogram
 from repro.datasets import generate_whole_metagenome_sample
 from repro.mapreduce.job import MapReduceJob, identity_mapper, identity_reducer
@@ -54,13 +52,19 @@ def test_bench_similarity_matrix(benchmark):
 
 
 def test_bench_agglomeration(benchmark):
-    rng = np.random.default_rng(0)
-    n = 300
-    base = rng.random((n, n)) * 0.5
-    sim = (base + base.T) / 2
-    np.fill_diagonal(sim, 1.0)
-    dendrogram = benchmark(lambda: build_dendrogram(sim, linkage="average"))
-    assert dendrogram.is_complete
+    """Algorithm 2's agglomeration on the matrix it meets in practice: the
+    positional similarities of 1,000 Table-III reads (k=5, n=100 hashes,
+    so at most 101 distinct values and heavy ties), average linkage, cut
+    during construction at θ=0.9 as ``agglomerative_cluster`` does.  Most
+    reads merge above θ, so nearly N merges are appended."""
+    reads = _reads(1000)
+    sketches = compute_sketches(reads, SketchingConfig(kmer_size=5, num_hashes=100))
+    sim = pairwise_similarity_matrix(sketches)
+    dendrogram = benchmark(
+        lambda: build_dendrogram(sim, linkage="average", stop_threshold=0.9)
+    )
+    assert len(dendrogram) > 0.9 * len(reads)
+    assert all(step.similarity >= 0.9 for step in dendrogram.steps)
 
 
 def test_bench_mapreduce_overhead(benchmark):

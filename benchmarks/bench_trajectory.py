@@ -44,6 +44,7 @@ WORKLOAD = {
     "kmer_size": 5,
     "num_hashes": 100,
     "threshold": 0.9,
+    "linkage": "average",
     "wire_bits": 8,
     "seed": 0,
     "timing_rounds": 3,
@@ -89,7 +90,12 @@ WORKLOAD = {
 #       ``shuffle_spill_bytes`` drops (1,757,012 -> 1,265,074 at the
 #       schema-5 baseline) because the spilled clustering run now shuffles
 #       the smaller candidate set; ``spill_segments`` stays 64.
-SCHEMA_VERSION = 6
+#   7 — puts the dense Algorithm-2 path (MrMC-MinH^h: similarity job plus
+#       average-linkage agglomeration, the workload's ``linkage``) under
+#       the gate: ``hier_pipeline_ms`` (untraced best-of-rounds fit,
+#       tolerance) and ``hier_pipeline_clusters`` (exact).  Before this,
+#       ``pipeline_ms`` timed only greedy positional with ``wire_bits``.
+SCHEMA_VERSION = 7
 
 
 def _best_of(rounds: int, fn) -> float:
@@ -317,6 +323,19 @@ def collect(
     if chrome_trace is not None:
         write_chrome_trace(tracer.spans, chrome_trace)
     retry_count = int(tracer.metrics.value("mr.fault.task_retries", 0))
+
+    # -- the dense Algorithm-2 path: similarity job + agglomeration -------
+    hier_model = MrMCMinH(
+        kmer_size=w["kmer_size"],
+        num_hashes=w["num_hashes"],
+        threshold=w["threshold"],
+        method="hierarchical",
+        linkage=w["linkage"],
+        sparse=False,
+    )
+    hier_ms = _best_of(rounds, lambda: hier_model.fit(reads))
+    hier_run = hier_model.fit(reads)
+
     wire = run.counters.as_dict()["wire"]
     bytes_raw = wire["bytes_raw"]
     bytes_wire = wire["bytes_wire"]
@@ -445,6 +464,21 @@ def collect(
         },
         "pipeline_clusters": {
             "value": run.assignment.num_clusters,
+            "unit": "clusters",
+            "direction": "lower",
+            "tolerance": 0.0,
+            "exact": True,
+        },
+        "hier_pipeline_ms": {
+            "value": round(hier_ms, 3),
+            "unit": "ms",
+            "direction": "lower",
+            "tolerance": 3.0,
+        },
+        "hier_pipeline_clusters": {
+            # The dense matrix path's cluster count; any drift means the
+            # similarity kernel or the merge order changed.
+            "value": hier_run.assignment.num_clusters,
             "unit": "clusters",
             "direction": "lower",
             "tolerance": 0.0,

@@ -29,43 +29,65 @@ class MergeStep:
 
 
 class Dendrogram:
-    """Full merge history over ``num_leaves`` initial singleton clusters."""
+    """Full merge history over ``num_leaves`` initial singleton clusters.
+
+    Alongside the steps it keeps the set of cluster ids already merged
+    away and every id's leaf count, so :meth:`append` checks one step in
+    O(1) instead of re-walking the history.
+    """
 
     def __init__(self, num_leaves: int, steps: Sequence[MergeStep] = ()):
         if num_leaves < 1:
             raise ClusteringError(f"num_leaves must be >= 1, got {num_leaves}")
         self.num_leaves = num_leaves
-        self.steps: list[MergeStep] = list(steps)
-        self._validate()
+        self.steps: list[MergeStep] = []
+        self._merged: set[int] = set()
+        self._sizes: list[int] = [1] * num_leaves
+        steps = list(steps)
+        self._check_count(len(steps))
+        for step in steps:
+            self._record(step)
 
-    def _validate(self) -> None:
-        if len(self.steps) > self.num_leaves - 1:
+    def _check_count(self, count: int) -> None:
+        if count > self.num_leaves - 1:
             raise ClusteringError(
-                f"{len(self.steps)} merges exceed maximum "
+                f"{count} merges exceed maximum "
                 f"{self.num_leaves - 1} for {self.num_leaves} leaves"
             )
-        seen: set[int] = set()
-        for i, step in enumerate(self.steps):
-            new_id = self.num_leaves + i
-            for side in (step.left, step.right):
-                if not 0 <= side < new_id:
-                    raise ClusteringError(
-                        f"merge {i} references invalid cluster id {side}"
-                    )
-                if side in seen:
-                    raise ClusteringError(
-                        f"merge {i} reuses already-merged cluster {side}"
-                    )
-            seen.update((step.left, step.right))
+
+    def _record(self, step: MergeStep) -> None:
+        """Check ``step`` against the merges so far, then record it."""
+        i = len(self.steps)
+        new_id = self.num_leaves + i
+        for side in (step.left, step.right):
+            if not 0 <= side < new_id:
+                raise ClusteringError(
+                    f"merge {i} references invalid cluster id {side}"
+                )
+            if side in self._merged:
+                raise ClusteringError(
+                    f"merge {i} reuses already-merged cluster {side}"
+                )
+        if step.left == step.right:
+            # The right side reuses the cluster the left side just consumed.
+            raise ClusteringError(
+                f"merge {i} reuses already-merged cluster {step.right}"
+            )
+        joined = self._sizes[step.left] + self._sizes[step.right]
+        if step.size != joined:
+            raise ClusteringError(
+                f"merge {i} has size {step.size} but clusters {step.left} "
+                f"and {step.right} hold {joined} leaves"
+            )
+        self._merged.update((step.left, step.right))
+        self._sizes.append(joined)
+        self.steps.append(step)
 
     def append(self, step: MergeStep) -> None:
-        """Record one more merge (validates incrementally)."""
-        self.steps.append(step)
-        try:
-            self._validate()
-        except ClusteringError:
-            self.steps.pop()
-            raise
+        """Record one more merge; a rejected step leaves the dendrogram
+        unchanged."""
+        self._check_count(len(self.steps) + 1)
+        self._record(step)
 
     @property
     def is_complete(self) -> bool:

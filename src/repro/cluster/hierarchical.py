@@ -7,8 +7,12 @@ it at the similarity threshold θ (``$CUTOFF``): merging stops when no pair
 of clusters is at least θ similar.
 
 Implementation: the classic "generic" agglomerative algorithm with exact
-nearest-neighbour caches — O(N²) memory, roughly O(N²) time with
-vectorised row updates.  Similarity-space Lance-Williams updates:
+nearest-neighbour caches — O(N²) memory and roughly O(N²) time.  Each
+merge does O(N) contiguous numpy work (one merged row, one cache lift,
+one argmax over the caches), an O(1) :meth:`Dendrogram.append`, and one
+O(N) rescan per row whose cached neighbour was in the merged pair (3.6
+rows per merge on average, 16 at most, on a 2,000-read Table III WGS
+matrix).  Similarity-space Lance-Williams updates:
 
 * single   — ``s_new = max(s_i, s_j)``
 * complete — ``s_new = min(s_i, s_j)``
@@ -17,7 +21,10 @@ vectorised row updates.  Similarity-space Lance-Williams updates:
 All three linkages are *reducible*, but single linkage can still raise a
 row's best similarity after a merge; the cache update therefore both
 recomputes rows whose cached neighbour died and lifts caches where the
-merged row beats them, keeping the caches exact.
+merged row beats them, keeping the caches exact.  Dead slots are never
+written again: their stale rows and columns are masked out wherever a
+row is scanned, so the merge order (first-index ``argmax`` tie-breaking
+included) is that of a matrix whose dead entries are all -inf.
 """
 
 from __future__ import annotations
@@ -35,15 +42,37 @@ LINKAGES = ("single", "average", "complete")
 _NEG = -np.inf
 
 
+#: Elements per row band of the matrix validation; bounds its temporaries.
+_VALIDATION_BAND_ELEMENTS = 1 << 18
+
+
 def _validate_similarity(similarity: np.ndarray) -> np.ndarray:
     s = np.asarray(similarity, dtype=np.float64)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ClusteringError(f"similarity must be square, got shape {s.shape}")
-    if s.shape[0] < 1:
+    n = s.shape[0]
+    if n < 1:
         raise ClusteringError("similarity matrix is empty")
-    if not np.allclose(s, s.T, atol=1e-8):
+    # Row bands keep every temporary at band size instead of N x N; the
+    # checks are the whole-matrix ones, restricted to the band's rows.
+    finite = symmetric = in_range = True
+    rows = max(1, _VALIDATION_BAND_ELEMENTS // n)
+    for lo in range(0, n, rows):
+        band = s[lo : lo + rows]
+        finite = finite and bool(np.isfinite(band).all())
+        symmetric = symmetric and np.allclose(
+            band, s[:, lo : lo + rows].T, atol=1e-8
+        )
+        in_range = in_range and not (
+            np.any(band < -1e-9) or np.any(band > 1 + 1e-9)
+        )
+    if not finite:
+        raise ClusteringError(
+            "similarity matrix has non-finite entries (NaN or inf)"
+        )
+    if not symmetric:
         raise ClusteringError("similarity matrix must be symmetric")
-    if np.any(s < -1e-9) or np.any(s > 1 + 1e-9):
+    if not in_range:
         raise ClusteringError("similarities must lie in [0, 1]")
     return s.copy()
 
@@ -59,8 +88,9 @@ def build_dendrogram(
     Parameters
     ----------
     similarity:
-        Symmetric ``(N, N)`` matrix of similarities in [0, 1]; the
-        diagonal is ignored.
+        Symmetric ``(N, N)`` matrix of finite similarities in [0, 1].
+        The diagonal is validated like every other entry (a NaN or a 7.0
+        there is rejected), but its values never influence a merge.
     linkage:
         One of :data:`LINKAGES`.
     stop_threshold:
@@ -85,17 +115,17 @@ def build_dendrogram(
 
     np.fill_diagonal(s, _NEG)
     active = np.ones(n, dtype=bool)
+    live = n
     sizes = np.ones(n, dtype=np.int64)
     cluster_ids = np.arange(n, dtype=np.int64)  # dendrogram id living in each slot
 
+    # Dead slots hold -inf in nn_sim, so the argmax below only sees live ones.
     nn_idx = np.argmax(s, axis=1)
     nn_sim = s[np.arange(n), nn_idx]
 
     for step in range(n - 1):
-        # Best merge among active slots.
-        masked = np.where(active, nn_sim, _NEG)
-        i = int(np.argmax(masked))
-        best = masked[i]
+        i = int(np.argmax(nn_sim))
+        best = nn_sim[i]
         if best == _NEG:
             break
         if stop_threshold is not None and best < stop_threshold:
@@ -123,37 +153,38 @@ def build_dendrogram(
             )
         )
 
-        # Merged cluster lives in slot i; slot j dies.
+        # Merged cluster lives in slot i; slot j dies.  Row and column j
+        # keep stale values from here on: every later read masks them.
+        active[j] = False
+        live -= 1
         merged[i] = _NEG
         merged[~active] = _NEG
         s[i, :] = merged
         s[:, i] = merged
-        s[j, :] = _NEG
-        s[:, j] = _NEG
-        active[j] = False
         sizes[i] = ni + nj
         cluster_ids[i] = new_id
         nn_sim[j] = _NEG
 
-        if not np.any(active & (np.arange(n) != i)):
+        if live == 1:
             break
 
         # Exact cache maintenance:
         # (1) slot i gets a fresh neighbour;
-        nn_idx[i] = int(np.argmax(s[i]))
-        nn_sim[i] = s[i, nn_idx[i]]
-        # (2) rows whose cached neighbour was i or j recompute;
+        nn_idx[i] = int(np.argmax(merged))
+        nn_sim[i] = merged[nn_idx[i]]
+        # (2) rows whose cached neighbour was i or j recompute over the
+        #     live slots;
         stale = active & ((nn_idx == i) | (nn_idx == j))
         stale[i] = False
         for m in np.flatnonzero(stale):
-            nn_idx[m] = int(np.argmax(s[m]))
-            nn_sim[m] = s[m, nn_idx[m]]
+            row = np.where(active, s[m], _NEG)
+            nn_idx[m] = int(np.argmax(row))
+            nn_sim[m] = row[nn_idx[m]]
         # (3) rows where the merged cluster now beats the cache are lifted
-        #     (single linkage can increase similarities).
-        col = s[:, i]
-        lift = active & (col > nn_sim)
-        lift[i] = False
-        nn_sim[lift] = col[lift]
+        #     (single linkage can increase similarities).  Dead entries of
+        #     ``merged`` are -inf, so they never lift.
+        lift = merged > nn_sim
+        nn_sim[lift] = merged[lift]
         nn_idx[lift] = i
 
     return dendrogram

@@ -12,8 +12,11 @@ Two estimators are provided:
   is the default for the greedy algorithm.
 
 The pairwise matrix (used by the hierarchical algorithm, Algorithm 2
-step 3) is computed row-by-row with full-width NumPy broadcasting; the
-Map-Reduce layer partitions rows across tasks exactly as described in
+step 3) is computed one sketch position at a time: each position's column
+is narrowed to the smallest unsigned dtype that holds every value exactly,
+the band's rows are compared against the whole column, and the matches
+are accumulated in a small integer counter that is divided by n once.
+The Map-Reduce layer partitions rows across tasks exactly as described in
 Section III-C ("row-wise partition").
 """
 
@@ -27,10 +30,6 @@ from repro.errors import SketchError
 from repro.minhash.sketch import MinHashSketch, padded_value_sets, sketch_matrix
 
 ESTIMATORS = ("positional", "set")
-
-#: Element budget for one broadcasted comparison block of the positional
-#: matrix path (rows_per_block * N * num_hashes); bounds peak memory.
-_BLOCK_BUDGET_ELEMENTS = 1 << 22
 
 
 def exact_jaccard(set_a: np.ndarray, set_b: np.ndarray) -> float:
@@ -120,16 +119,7 @@ def pairwise_similarity_matrix(
     matrix = sketch_matrix(sketches)  # validates family compatibility
 
     if estimator == "positional":
-        # Blocked broadcast: compare a band of rows against the whole
-        # matrix at once instead of one row per Python iteration.
-        num_hashes = matrix.shape[1]
-        rows_per_block = max(1, _BLOCK_BUDGET_ELEMENTS // max(1, n * num_hashes))
-        out = np.empty((stop - start, n), dtype=np.float64)
-        for lo in range(start, stop, rows_per_block):
-            hi = min(lo + rows_per_block, stop)
-            equal = matrix[lo:hi, None, :] == matrix[None, :, :]
-            out[lo - start : hi - start] = equal.mean(axis=2)
-        return out
+        return _positional_rows(matrix, start, stop)
 
     # Set-based path: each row's distinct values live in a padded sorted
     # block, so one np.isin per row scores it against every other row at
@@ -142,6 +132,32 @@ def pairwise_similarity_matrix(
         # Sketches are non-empty, so the union never vanishes.
         out[i - start] = inter / (counts + counts[i] - inter)
     return out
+
+
+def _positional_rows(matrix: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Rows ``start:stop`` of the positional matrix: the fraction of the n
+    sketch positions where two rows agree.
+
+    One pass per position compares the band's slice of that position's
+    column against the whole column and adds the matches into an integer
+    counter just wide enough for n.  The count k is exact, so ``k / n`` is
+    the same float64 that ``np.mean`` of the boolean matches produces.
+    """
+    num_hashes = matrix.shape[1]
+    # Columns in the narrowest unsigned dtype that holds every value
+    # exactly; int64 when a value is negative.
+    lo, hi = int(matrix.min()), int(matrix.max())
+    columns = np.ascontiguousarray(
+        matrix.T, dtype=np.min_scalar_type(hi) if lo >= 0 else np.int64
+    )
+    counts = np.zeros(
+        (stop - start, matrix.shape[0]), dtype=np.min_scalar_type(num_hashes)
+    )
+    equal = np.empty(counts.shape, dtype=bool)
+    for column in columns:
+        np.equal(column[start:stop, None], column[None, :], out=equal)
+        counts += equal.view(np.uint8)
+    return counts / num_hashes
 
 
 def condensed_to_square(condensed: np.ndarray, n: int) -> np.ndarray:

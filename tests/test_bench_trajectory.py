@@ -164,6 +164,10 @@ def test_committed_snapshot_is_wellformed():
         metrics["sparse_cluster_candidate_pairs"]["value"]
         < metrics["sparse_candidate_pairs"]["value"]
     )
+    # The dense Algorithm-2 path (schema 7) is gated exactly on its
+    # cluster count and timed separately from the greedy pipeline.
+    assert metrics["hier_pipeline_clusters"]["exact"] is True
+    assert metrics["hier_pipeline_ms"]["direction"] == "lower"
     # Service section (schema 3): structural shed rate gates exactly —
     # 2 tenants x 6 jobs into depth-2 queues sheds 8 of 12.
     assert metrics["service_shed_rate"]["exact"] is True

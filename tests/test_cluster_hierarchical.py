@@ -1,6 +1,8 @@
 """Tests for agglomerative hierarchical clustering (Algorithm 2),
 including exact cross-validation against scipy's linkage."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,26 @@ def random_similarity(n, seed):
     rng = np.random.default_rng(seed)
     base = rng.random((n, n))
     sim = (base + base.T) / 2
+    np.fill_diagonal(sim, 1.0)
+    return sim
+
+
+def quantised_similarity(n, seed, levels=50):
+    """Tie-heavy symmetric matrix with at most ``levels`` distinct values
+    k / (levels - 1), shaped like WGS reads: tight groups (>= 0.81 within),
+    low similarity between groups, and sparse bridges (0.51-0.80) only
+    inside three super-groups, so θ = 0.5 and 0.9 both stop early."""
+    rng = np.random.default_rng(seed)
+    groups = rng.integers(0, max(1, n // 8), n)
+    same = groups[:, None] == groups[None, :]
+    supergroup = groups % 3
+    bridge = (supergroup[:, None] == supergroup[None, :]) & (rng.random((n, n)) < 0.02)
+    between = np.where(
+        bridge, rng.integers(25, 40, (n, n)), rng.integers(0, 25, (n, n))
+    )
+    k = np.where(same, rng.integers(40, levels, (n, n)), between)
+    upper = np.triu(k, 1)
+    sim = (upper + upper.T) / (levels - 1)
     np.fill_diagonal(sim, 1.0)
     return sim
 
@@ -73,6 +95,86 @@ class TestBuildDendrogram:
             build_dendrogram(random_similarity(3, 0), linkage="ward")
         with pytest.raises(ClusteringError):
             build_dendrogram(random_similarity(3, 0), stop_threshold=1.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected_as_such(self, bad):
+        sim = random_similarity(4, 0)
+        sim[1, 2] = sim[2, 1] = bad
+        with pytest.raises(ClusteringError, match="non-finite"):
+            build_dendrogram(sim)
+
+    @pytest.mark.parametrize("bad", [7.0, np.nan])
+    def test_bad_diagonal_rejected(self, bad):
+        sim = random_similarity(4, 0)
+        sim[2, 2] = bad
+        with pytest.raises(ClusteringError):
+            build_dendrogram(sim)
+
+    def test_diagonal_does_not_influence_merges(self):
+        sim = quantised_similarity(30, 4)
+        low_diagonal = sim.copy()
+        np.fill_diagonal(low_diagonal, 0.0)
+        assert build_dendrogram(sim).steps == build_dendrogram(low_diagonal).steps
+
+    def test_validation_checks_every_row_band(self):
+        """The checks run over row bands; a defect in the last band only
+        is still found, and the error precedence (non-finite, then
+        symmetry, then range) holds across bands."""
+        n = 700  # two validation bands
+        base = quantised_similarity(n, 5)
+        asymmetric = base.copy()
+        asymmetric[n - 1, 3] += 0.01
+        with pytest.raises(ClusteringError, match="symmetric"):
+            build_dendrogram(asymmetric)
+        out_of_range = base.copy()
+        out_of_range[n - 1, n - 2] = out_of_range[n - 2, n - 1] = 1.5
+        with pytest.raises(ClusteringError, match="\\[0, 1\\]"):
+            build_dendrogram(out_of_range)
+        both = asymmetric.copy()
+        both[0, 1] = both[1, 0] = 1.5
+        with pytest.raises(ClusteringError, match="symmetric"):
+            build_dendrogram(both)
+        nan_last = both.copy()
+        nan_last[n - 1, n - 1] = np.nan
+        with pytest.raises(ClusteringError, match="non-finite"):
+            build_dendrogram(nan_last)
+        # 1e-8 absolute asymmetry is tolerated, as with np.allclose(s, s.T).
+        tolerated = base.copy()
+        tolerated[n - 1, 3] += 5e-9
+        assert len(build_dendrogram(tolerated, stop_threshold=0.9)) > 0
+
+
+#: sha256 of build_dendrogram's step list over quantised_similarity at
+#: (seed, n) = (0, 40), (1, 100), (2, 200), recorded before the merge loop
+#: stopped writing dead slots and Dendrogram.append stopped re-validating.
+MERGE_ORDER_SHA256 = {
+    ("single", None): "2de934e27736950e7901639876da6956da64281afbcb0c9026e03e9298477272",
+    ("single", 0.5): "1a47380c328b8b908ca23a2a461a58d34c95bb77a27ba0b5d408d01bd7b28024",
+    ("single", 0.9): "4e93cb33c5f7e049e4bd70baacb757a138247247a2a799a2528ee1aa637d4d49",
+    ("average", None): "bcd796e3537dcb143418a463b67f0622a07b091452eda49884ed3ba17e5d35a6",
+    ("average", 0.5): "21d5ec00558d73218c33ec074865589c926d2f3644fc5439d8b093da2c07413d",
+    ("average", 0.9): "fc5175597d3cc35a58826cf7a63a47977f43326ab881baaa14d22a05bf6c862e",
+    ("complete", None): "f5926df11102868f41c34f73be83f55dfee28e80aa56e17e85bb3ae31cdb59c2",
+    ("complete", 0.5): "04fe9ea8c34e2fa5c31c07ebed4e09f623b25c34272e3b5eb3dc92c0f53bd1f0",
+    ("complete", 0.9): "52551f5c7a54264232b4cb020362034e54e31cb939dfc5c78b0a474b43030296",
+}
+
+
+class TestMergeOrderCharacterization:
+    """Merge order, first-index tie-breaking included, is pinned on
+    tie-heavy matrices: any change to the merge loop that reorders tied
+    merges or perturbs an average-linkage float changes a digest."""
+
+    @pytest.mark.parametrize("link,stop", sorted(MERGE_ORDER_SHA256, key=str))
+    def test_step_list_digest(self, link, stop):
+        digest = hashlib.sha256()
+        for seed, n in ((0, 40), (1, 100), (2, 200)):
+            sim = quantised_similarity(n, seed)
+            assert len(np.unique(sim)) <= 50
+            d = build_dendrogram(sim, linkage=link, stop_threshold=stop)
+            steps = [(s.left, s.right, s.similarity, s.size) for s in d.steps]
+            digest.update(repr(steps).encode())
+        assert digest.hexdigest() == MERGE_ORDER_SHA256[(link, stop)]
 
 
 class TestScipyEquivalence:

@@ -173,3 +173,57 @@ class TestEstimatorAccuracy:
         )
         est = positional_similarity(*sketches)
         assert abs(est - true_j) < 0.07
+
+
+@st.composite
+def positional_cases(draw):
+    """Sketch matrices for the positional kernel's byte-identity net.
+
+    Rows are copies of a few pool rows with some entries redrawn, so that
+    long runs of matching positions (and full matches) are common.
+    ``kind`` picks the value range: small values (the WGS k=5 shape),
+    values whose low 8/16/32 bits coincide while higher bits differ, or
+    negative values.
+    """
+    num_hashes = draw(st.sampled_from([1, 100, 255, 256, 300]))
+    n = draw(st.integers(1, 9))
+    kind = draw(st.sampled_from(["small", "bit8", "bit16", "bit32", "negative"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def values(shape):
+        if kind == "negative":
+            return rng.integers(-3, 3, shape)
+        low = rng.integers(0, 5, shape)
+        if kind == "small":
+            return low
+        shift = int(kind[3:])
+        return low + (rng.integers(0, 3, shape) << shift)
+
+    pool = values((draw(st.integers(1, 3)), num_hashes))
+    matrix = pool[rng.integers(0, len(pool), n)]
+    redraw = rng.random((n, num_hashes)) < draw(st.sampled_from([0.0, 0.05, 0.5]))
+    matrix[redraw] = values((n, num_hashes))[redraw]
+    start = draw(st.integers(0, n))
+    stop = draw(st.integers(start, n))
+    return matrix, (start, stop)
+
+
+class TestPositionalKernelByteIdentity:
+    @given(positional_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_pair_mean(self, case):
+        matrix, (start, stop) = case
+        key = (matrix.shape[1], 0, 0)
+        sketches = [_sketch(f"r{i}", row, key=key) for i, row in enumerate(matrix)]
+        n = len(sketches)
+        reference = np.array(
+            [[np.mean(matrix[i] == matrix[j]) for j in range(n)] for i in range(n)]
+        )
+        full = pairwise_similarity_matrix(sketches, estimator="positional")
+        assert full.dtype == np.float64
+        assert full.tobytes() == reference.tobytes()
+        band = pairwise_similarity_matrix(
+            sketches, estimator="positional", row_range=(start, stop)
+        )
+        assert band.shape == (stop - start, n)
+        assert band.tobytes() == reference[start:stop].tobytes()
