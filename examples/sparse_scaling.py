@@ -2,11 +2,11 @@
 
 Run:  python examples/sparse_scaling.py
 
-Compares the dense all-pairs pipeline against the min-hash collision join
-(`sparse=True`) on growing 16S samples, printing wall time, the candidate
-fraction actually scored, and verifying the partitions agree — the
-optimization that makes Figure 2's 10-million-read points plausible (see
-EXPERIMENTS.md).
+Compares the dense all-pairs pipeline against the engine LSH chain
+(`sparse="engine"`) on growing 16S samples, printing wall time, the
+candidate fraction of the collision join, and verifying the two TSVs are
+byte-identical — the optimization that makes Figure 2's 10-million-read
+points plausible (see EXPERIMENTS.md).
 
 Two candidate filters are contrasted:
 
@@ -33,18 +33,11 @@ from repro.minhash.lsh import all_candidate_pairs
 from repro.minhash.sketch import SketchingConfig, compute_sketches
 
 
-def partition(assignment):
-    groups = {}
-    for rid, lbl in assignment.items():
-        groups.setdefault(lbl, set()).add(rid)
-    return {frozenset(g) for g in groups.values()}
-
-
 def main() -> None:
     table = Table(
         title="Dense vs sparse single-linkage MrMC-MinH^h (16S, k=15, n=50)",
-        columns=["Reads", "Dense (s)", "Sparse (s)", "OR-cand %", "Band-cand %",
-                 "Clusters", "Same partition"],
+        columns=["Reads", "Dense (s)", "Engine (s)", "OR-cand %", "Band-cand %",
+                 "Clusters", "Same TSV"],
     )
     for num_reads in (200, 500, 1000):
         reads = generate_environmental_sample("53R", num_reads=num_reads, seed=2)
@@ -64,13 +57,13 @@ def main() -> None:
         dense_s = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        sparse = MrMCMinH(**common, sparse=True).fit(reads)
-        sparse_s = time.perf_counter() - t0
+        engine = MrMCMinH(**common, sparse="engine").fit(reads)
+        engine_s = time.perf_counter() - t0
 
-        same = partition(dict(dense.assignment)) == partition(dict(sparse.assignment))
+        same = dense.assignment.to_tsv() == engine.assignment.to_tsv()
         table.add_row(
-            num_reads, dense_s, sparse_s, round(cand_pct, 1), round(band_pct, 2),
-            sparse.assignment.num_clusters, "yes" if same else "NO",
+            num_reads, dense_s, engine_s, round(cand_pct, 1), round(band_pct, 2),
+            engine.assignment.num_clusters, "yes" if same else "NO",
         )
     print(table.render())
 

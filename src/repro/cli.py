@@ -26,7 +26,7 @@ import argparse
 import sys
 
 from repro.bench.harness import ExperimentScale
-from repro.cluster.pipeline import METHODS, MrMCMinH
+from repro.cluster.pipeline import METHODS, SPARSE_AUTO_CUTOFF, MrMCMinH
 from repro.cluster.hierarchical import LINKAGES
 from repro.eval.diversity import (
     chao1,
@@ -53,7 +53,9 @@ def _add_pipeline_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--engine-sparse", action="store_true",
         help="force the LSH candidate-generation MapReduce job chain "
-        "(default: auto — dense below the size cutoff, engine-sparse above)",
+        "(default: auto — only hierarchical --linkage single runs with "
+        f"--threshold > 0 switch to the chain, from {SPARSE_AUTO_CUTOFF} "
+        "sequences on; every other run stays dense)",
     )
     parser.add_argument(
         "--spill-threshold", type=int, default=None, metavar="BYTES",

@@ -31,11 +31,9 @@ from repro.cluster.representatives import (
 )
 from repro.cluster.sparse import (
     candidate_pairs,
-    candidate_pairs_mapreduce,
     greedy_from_edges,
     single_linkage_from_edges,
     sparse_greedy_cluster,
-    sparse_similarity,
     sparse_single_linkage,
 )
 from repro.cluster.sparse_jobs import (
@@ -71,10 +69,8 @@ __all__ = [
     "select_representatives",
     "representative_records",
     "candidate_pairs",
-    "candidate_pairs_mapreduce",
     "greedy_from_edges",
     "single_linkage_from_edges",
-    "sparse_similarity",
     "sparse_single_linkage",
     "sparse_greedy_cluster",
     "SparseEngineRun",

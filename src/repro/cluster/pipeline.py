@@ -53,13 +53,13 @@ from repro.seq.records import SequenceRecord
 METHODS = ("greedy", "hierarchical")
 
 #: Valid values of the pipeline's ``sparse`` parameter.
-SPARSE_MODES = (False, True, "auto", "engine")
+SPARSE_MODES = (False, "auto", "engine")
 
-#: Below this many sketches ``sparse="auto"`` stays on the dense path —
-#: the all-pairs matrix is cheap at small N and the dense estimators are
-#: the paper-literal reference; above it the quadratic wall dominates and
-#: auto switches to the MapReduce LSH chain when the configured shape is
-#: one the sparse path computes exactly.
+#: From this many sketches on, ``sparse="auto"`` runs a shape the engine
+#: chain computes exactly on the chain instead of the dense path.  Both
+#: paths give byte-identical output for such shapes, so the cutoff decides
+#: cost only: below it the all-pairs matrix is cheap, above it the
+#: quadratic wall dominates.  Read at fit time.
 SPARSE_AUTO_CUTOFF = 4096
 
 
@@ -133,9 +133,10 @@ class ClusteringRun:
     timings: dict[str, float]
     counters: Counters = field(default_factory=Counters)
     mode: str = "dense"
-    """Similarity path actually taken: ``dense``, ``sparse`` or ``engine``."""
+    """Similarity path actually taken: ``dense`` (the all-pairs matrix or
+    the greedy sweep) or ``engine`` (the MapReduce LSH chain)."""
     sparse_stats: dict | None = None
-    """Candidate/edge/round/shuffle accounting when a sparse path ran."""
+    """Candidate/edge/round/shuffle accounting when the engine chain ran."""
 
     @property
     def wall_seconds(self) -> float:
@@ -160,7 +161,9 @@ class MrMCMinH:
         ``$LINK`` for the hierarchical method: single/average/complete.
     estimator:
         Sketch-comparison estimator; defaults to the paper-literal choice
-        per method ("set" for greedy, "positional" for the matrix).
+        per method ("set" for greedy, "positional" for the matrix), and to
+        "positional" for ``sparse="engine"``.  Fixed at construction:
+        the similarity path never changes it.
     seed:
         Hash-family seed.
     runner:
@@ -169,26 +172,17 @@ class MrMCMinH:
     num_map_tasks:
         Parallelism of the sketch and similarity jobs.
     sparse:
-        Similarity-stage strategy.  ``"auto"`` (the default) runs the
-        dense all-pairs job below ``sparse_cutoff`` sketches and the
-        MapReduce LSH chain (:mod:`repro.cluster.sparse_jobs`) above it
-        whenever the configured shape is sparse-exact; shapes that are
-        not (θ <= 0, non-single hierarchical linkage, an explicitly
-        requested non-positional estimator) stay dense at every size.
-        ``True`` forces the in-process collision join, ``"engine"``
-        forces the two-job chain on the engine, ``False`` forces dense.
-        The sparse paths are exact for ``method="greedy"`` with the
-        positional estimator and for ``method="hierarchical"`` with
-        ``linkage="single"`` — the two shapes that scale to paper-sized
-        inputs; forcing sparse for other combinations raises
-        :class:`~repro.errors.SparseCompatibilityError`.  Note that when
-        auto flips a default-estimator greedy run to the sparse chain it
-        clusters with the positional estimator (the sparse-exact form)
-        rather than the dense default ``"set"``; pass ``sparse=False``
-        or ``estimator="set"`` to pin the paper-literal set estimator.
-    sparse_cutoff:
-        Sketch count at which ``sparse="auto"`` switches from dense to
-        the engine chain.
+        Similarity path: ``False`` (dense), ``"engine"`` (the MapReduce
+        LSH chain of :mod:`repro.cluster.sparse_jobs`) or ``"auto"`` (the
+        default).  The chain is exact — byte-identical to the dense
+        path — for θ > 0 with the positional estimator and either
+        ``method="greedy"`` or ``linkage="single"``; ``"engine"`` raises
+        :class:`~repro.errors.SparseCompatibilityError` for any other
+        shape.  ``"auto"`` takes the chain for exact shapes from
+        :data:`SPARSE_AUTO_CUTOFF` sketches on and the dense path
+        otherwise, so its output never depends on input size.  Default
+        greedy (the set estimator of Algorithm 1) is not an exact shape
+        and stays dense at every size.
     wire_bits:
         Ship sketches through the shuffle as b-bit compressed frames
         (see :mod:`repro.minhash.wire`), cutting sketch-job shuffle
@@ -224,7 +218,6 @@ class MrMCMinH:
         num_map_tasks: int = 4,
         sparse: bool | str = "auto",
         wire_bits: int | None = None,
-        sparse_cutoff: int = SPARSE_AUTO_CUTOFF,
         spill_threshold_bytes: int | None = None,
     ):
         if method not in METHODS:
@@ -241,13 +234,10 @@ class MrMCMinH:
             raise ClusterConfigError(
                 f"num_map_tasks must be >= 1, got {num_map_tasks}"
             )
-        if sparse not in SPARSE_MODES:
+        # False by identity: 0 and 0.0 compare equal to it.
+        if not (sparse is False or sparse in ("auto", "engine")):
             raise ClusterConfigError(
                 f"unknown sparse mode {sparse!r}; expected one of {SPARSE_MODES}"
-            )
-        if sparse_cutoff < 1:
-            raise ClusterConfigError(
-                f"sparse_cutoff must be >= 1, got {sparse_cutoff}"
             )
         if spill_threshold_bytes is not None and spill_threshold_bytes < 0:
             raise ClusterConfigError(
@@ -260,19 +250,14 @@ class MrMCMinH:
         self.threshold = threshold
         self.method = method
         self.linkage = linkage
-        # "auto" keeps the paper-literal dense default (set estimator for
-        # greedy) and only switches estimator semantics when it actually
-        # flips to the sparse chain at fit time.
-        self._estimator_explicit = estimator is not None
         self.estimator = estimator or (
-            "set"
-            if method == "greedy" and sparse in (False, "auto")
-            else "positional"
+            "positional"
+            if method == "hierarchical" or sparse == "engine"
+            else "set"
         )
         self.runner = runner or SerialRunner()
         self.num_map_tasks = num_map_tasks
         self.sparse = sparse
-        self.sparse_cutoff = sparse_cutoff
         self.spill_threshold_bytes = spill_threshold_bytes
         self.wire_bits = wire_bits
         if wire_bits is not None:
@@ -283,55 +268,50 @@ class MrMCMinH:
                 )
             # Validates the bit width up front.
             effective_threshold(threshold, wire_bits)
-        if sparse in (True, "engine"):
-            if threshold <= 0.0:
-                raise SparseCompatibilityError(
-                    "sparse mode requires threshold > 0",
-                    method=method,
-                    linkage=linkage,
-                    estimator=self.estimator,
-                )
-            if method == "hierarchical" and linkage != "single":
-                raise SparseCompatibilityError(
-                    "sparse hierarchical clustering is exact only for "
-                    "single linkage; use linkage='single' or sparse=False",
-                    method=method,
-                    linkage=linkage,
-                    estimator=self.estimator,
-                )
-            if method == "greedy" and self.estimator != "positional":
-                raise SparseCompatibilityError(
-                    "sparse greedy clustering uses the positional estimator; "
-                    "drop estimator='set' or sparse=False",
-                    method=method,
-                    linkage=linkage,
-                    estimator=self.estimator,
-                )
+        inexact = self._engine_inexact_reason()
+        if sparse == "engine" and inexact is not None:
+            raise SparseCompatibilityError(
+                inexact, method=method, linkage=linkage, estimator=self.estimator
+            )
+        self._engine_exact = inexact is None
+
+    def _engine_inexact_reason(self) -> str | None:
+        """Why the engine chain cannot reproduce the dense path for this
+        configuration, or ``None`` when it can.
+
+        The one exactness rule: θ > 0 (the chain never sees pairs that
+        share no sketch value, and at θ <= 0 those are edges too), greedy
+        or single linkage (clusterings that depend only on the above-θ
+        edge set), and the positional estimator (the match fraction the
+        chain verifies).
+        """
+        if self.threshold <= 0.0:
+            return "sparse mode requires threshold > 0"
+        if self.method == "hierarchical" and self.linkage != "single":
+            return (
+                "sparse hierarchical clustering is exact only for "
+                "single linkage; use linkage='single' or sparse=False"
+            )
+        if self.estimator != "positional":
+            return (
+                f"sparse {self.method} clustering uses the positional "
+                f"estimator; drop estimator={self.estimator!r} or sparse=False"
+            )
+        return None
 
     def _resolve_mode(self, num_sketches: int) -> str:
-        """Resolve the ``sparse`` setting to a concrete similarity path.
+        """``"dense"`` or ``"engine"``: the similarity path for one fit.
 
-        Returns one of ``"dense"``, ``"sparse"`` (in-process collision
-        join) or ``"engine"`` (the :mod:`repro.cluster.sparse_jobs` two-job
-        chain).  ``"auto"`` never raises: shapes the sparse path cannot
-        compute exactly simply stay dense.
+        ``"auto"`` only picks the engine chain for shapes it computes
+        exactly, so the cutoff moves cost, never output.
         """
-        if self.sparse is True:
-            return "sparse"
-        if self.sparse == "engine":
+        if self.sparse == "engine" or (
+            self.sparse == "auto"
+            and self._engine_exact
+            and num_sketches >= SPARSE_AUTO_CUTOFF
+        ):
             return "engine"
-        if self.sparse is False:
-            return "dense"
-        # ---- "auto": dense small-N fallback, engine-sparse at scale ------
-        if num_sketches < self.sparse_cutoff:
-            return "dense"
-        if self.threshold <= 0.0:
-            return "dense"
-        if self.method == "hierarchical" and self.linkage != "single":
-            return "dense"
-        if self._estimator_explicit and self.estimator != "positional":
-            return "dense"
-        return "engine"
+        return "dense"
 
     # ------------------------------------------------------------------ fit
 
@@ -454,46 +434,6 @@ class MrMCMinH:
                     "shuffle", "spill_segments"
                 ),
                 "spill_bytes": engine_run.counters.get("shuffle", "spill_bytes"),
-            }
-        elif mode == "sparse":
-            from repro.cluster.sparse import (
-                candidate_pairs_mapreduce,
-                sparse_greedy_cluster,
-                sparse_single_linkage,
-            )
-
-            t0 = time.perf_counter()
-            with tracer.span("phase:similarity", kind="phase"):
-                # Run the collision join through the engine for its trace;
-                # clustering itself consumes the direct API.
-                _pairs, sim_result = candidate_pairs_mapreduce(
-                    sketches,
-                    runner=self.runner,
-                    num_map_tasks=self.num_map_tasks,
-                    num_reduce_tasks=self.num_map_tasks,
-                )
-                counters.merge(sim_result.counters)
-                if sim_result.trace is not None:
-                    traces.append(sim_result.trace)
-            timings["similarity"] = time.perf_counter() - t0
-
-            t0 = time.perf_counter()
-            with tracer.span("phase:cluster", kind="phase"):
-                if self.method == "hierarchical":
-                    assignment = sparse_single_linkage(sketches, theta)
-                else:
-                    assignment = sparse_greedy_cluster(sketches, theta)
-            elapsed = time.perf_counter() - t0
-            timings["cluster"] = elapsed
-            traces.append(_clustering_trace("sparse-cluster", len(sketches), elapsed))
-            sparse_stats = {
-                "candidate_pairs": len(_pairs),
-                "rounds": 1,
-                "shuffle_bytes": (
-                    sim_result.trace.shuffle_bytes
-                    if sim_result.trace is not None
-                    else 0
-                ),
             }
         elif self.method == "hierarchical":
             t0 = time.perf_counter()

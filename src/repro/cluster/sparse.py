@@ -1,4 +1,4 @@
-"""Sparse candidate-pair similarity via min-hash collision grouping.
+"""In-process collision-candidate join: the reference for the sparse path.
 
 The dense all-pairs job (Algorithm 2 step 3) is quadratic; at the paper's
 scales (50 k–10 M reads) its own reported runtimes are only achievable if
@@ -8,16 +8,21 @@ two sequences can only be similar if they collide in at least one sketch
 component (the probability of at least one collision among n components
 is ``1 - (1 - J)^n``, overwhelming for any J above threshold at n = 50+).
 
-This module provides that path:
+This module is not a pipeline path: :class:`~repro.cluster.pipeline.MrMCMinH`
+runs that grouping as the MapReduce chain in
+:mod:`repro.cluster.sparse_jobs`.  What lives here is the in-process
+reference the chain, the tests and the benchmarks compare against, and
+the edge-stream clusterers (:func:`make_edge_stream`) the chain feeds:
 
 * :func:`candidate_pairs` — all pairs colliding in >= ``min_shared``
-  sketch components, found by grouping (one pass over N·n entries);
-* :func:`sparse_similarity` — estimated Jaccard for candidate pairs only;
+  sketch components with their collision counts (a count over n
+  components is the positional match count), found by grouping;
 * :func:`sparse_single_linkage` — exact single-linkage clustering at
   threshold θ over the candidate graph (a pair with zero collisions has
   estimated similarity 0, so no merge at θ > 0 is ever missed);
-* :func:`sparse_greedy_cluster` — Algorithm 1 accelerated with the
-  collision index: each new representative only scans its candidates.
+* :func:`sparse_greedy_cluster` — Algorithm 1 (positional estimator)
+  accelerated with the collision index: each new representative only
+  scans its candidates.
 """
 
 from __future__ import annotations
@@ -125,90 +130,6 @@ def candidate_pairs(
         (int(i), int(j)): int(c)
         for i, j, c in zip(ii.tolist(), jj.tolist(), collisions.tolist())
     }
-
-
-def sparse_similarity(
-    sketches: Sequence[MinHashSketch],
-    *,
-    min_shared: int = 1,
-    max_group: int | None = None,
-) -> dict[tuple[int, int], float]:
-    """Positional estimated Jaccard for candidate pairs only.
-
-    The collision count over ``n`` components *is* the positional match
-    count, so similarity comes free from the grouping pass:
-    ``sim = collisions / n``.
-    """
-    pairs = candidate_pairs(
-        sketches, min_shared=min_shared, max_group=max_group
-    )
-    n = len(sketches[0])
-    return {pair: c / n for pair, c in pairs.items()}
-
-
-class _CollisionMapper:
-    """Emit ``((hash index, value), sketch index)`` for every component —
-    the grouping key of the Map-Reduce candidate-join."""
-
-    def __call__(self, key, values):
-        for h, value in enumerate(values):
-            yield (h, int(value)), key
-
-
-class _PairReducer:
-    """Emit candidate pairs from one collision group."""
-
-    def __init__(self, max_group: int | None):
-        self.max_group = max_group
-
-    def __call__(self, key, members):
-        members = sorted(set(members))
-        if len(members) < 2:
-            return
-        if self.max_group is not None and len(members) > self.max_group:
-            return
-        for a in range(len(members)):
-            for b in range(a + 1, len(members)):
-                yield (members[a], members[b]), 1
-
-
-def candidate_pairs_mapreduce(
-    sketches: Sequence[MinHashSketch],
-    *,
-    runner=None,
-    num_map_tasks: int = 4,
-    num_reduce_tasks: int = 4,
-    max_group: int | None = None,
-):
-    """The same collision-candidate computation as :func:`candidate_pairs`,
-    expressed as a Map-Reduce job (group by ``(hash index, value)``).
-
-    Returns ``({(i, j): collisions}, job_result)`` — the engine result
-    carries the trace the cluster simulator schedules, making the
-    Figure 2 sparse-similarity cost model a measured quantity.
-    """
-    from repro.mapreduce.job import MapReduceJob
-    from repro.mapreduce.runner import SerialRunner
-    from repro.mapreduce.types import JobConf
-
-    if not sketches:
-        raise ClusteringError("no sketches to index")
-    runner = runner or SerialRunner()
-    job = MapReduceJob(
-        name="sparse-candidates",
-        mapper=_CollisionMapper(),
-        reducer=_PairReducer(max_group),
-    )
-    inputs = [(i, s.values.tolist()) for i, s in enumerate(sketches)]
-    result = runner.run(
-        job,
-        inputs,
-        JobConf(num_map_tasks=num_map_tasks, num_reduce_tasks=num_reduce_tasks),
-    )
-    counts: dict[tuple[int, int], int] = defaultdict(int)
-    for pair, one in result.output:
-        counts[pair] += one
-    return dict(counts), result
 
 
 class SingleLinkageEdgeStream:

@@ -108,10 +108,10 @@ class ClusterJobSpec:
 
     Degraded execution walks the ladder the wire/sparse subsystems
     provide: the b-bit sketch wire (8 bits, positional estimator) always
-    applies, and the sparse similarity stage is added whenever it is
-    exact for the configured method (greedy, or hierarchical with single
-    linkage).  The degraded result is an approximation — that is the
-    contract of ``degradable=True`` — but it is itself deterministic.
+    applies, and greedy and single-linkage specs (the shapes the chain
+    computes exactly) move to the engine LSH chain, ``sparse="engine"``.
+    The degraded result is an approximation — that is the contract of
+    ``degradable=True`` — but it is itself deterministic.
     """
 
     records: tuple
@@ -147,11 +147,7 @@ class ClusterJobSpec:
             kwargs["estimator"] = "positional"
             kwargs["wire_bits"] = 8
             if self.method == "greedy" or self.linkage == "single":
-                # Keep an explicitly requested engine chain on the engine;
-                # otherwise degrade to the cheaper in-process join.
-                kwargs["sparse"] = (
-                    "engine" if self.sparse == "engine" else True
-                )
+                kwargs["sparse"] = "engine"
         pipeline = MrMCMinH(**kwargs)
         return pipeline.fit(list(self.records))
 

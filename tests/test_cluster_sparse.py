@@ -11,7 +11,6 @@ from repro.cluster.greedy import greedy_cluster
 from repro.cluster.sparse import (
     candidate_pairs,
     sparse_greedy_cluster,
-    sparse_similarity,
     sparse_single_linkage,
 )
 from repro.cluster.hierarchical import agglomerative_cluster
@@ -69,15 +68,18 @@ class TestCandidatePairs:
     @given(sketch_sets())
     @settings(max_examples=50, deadline=None)
     def test_matches_dense_nonzero_entries(self, sketches):
-        sims = sparse_similarity(sketches)
+        # A collision count over n components is the positional match
+        # count, so collisions / n is the dense positional entry.
+        pairs = candidate_pairs(sketches)
         dense = pairwise_similarity_matrix(sketches, estimator="positional")
         n = len(sketches)
+        width = len(sketches[0])
         for i in range(n):
             for j in range(i + 1, n):
                 if dense[i, j] > 0:
-                    assert sims[(i, j)] == pytest.approx(dense[i, j])
+                    assert pairs[(i, j)] / width == dense[i, j]
                 else:
-                    assert (i, j) not in sims
+                    assert (i, j) not in pairs
 
 
 class TestSparseSingleLinkage:

@@ -103,7 +103,7 @@ class TestClusteringErrorTaxonomy:
         from repro.cluster.pipeline import MrMCMinH
 
         with pytest.raises(errors.SparseCompatibilityError) as info:
-            MrMCMinH(sparse=True, method="hierarchical", linkage="average")
+            MrMCMinH(sparse="engine", method="hierarchical", linkage="average")
         assert info.value.linkage == "average"
         assert "single" in str(info.value)
 
@@ -114,6 +114,29 @@ class TestClusteringErrorTaxonomy:
         with pytest.raises(errors.SparseCompatibilityError) as info:
             MrMCMinH(sparse="engine", threshold=0.0)
         assert "threshold > 0" in str(info.value)
+
+    def test_engine_rejects_set_estimator_for_single_linkage(self):
+        # The chain verifies positional match fractions; it must not
+        # silently cluster positional edges under estimator="set".
+        from repro.cluster.pipeline import MrMCMinH
+
+        with pytest.raises(errors.SparseCompatibilityError) as info:
+            MrMCMinH(
+                method="hierarchical", linkage="single", estimator="set",
+                sparse="engine",
+            )
+        assert info.value.estimator == "set"
+        assert info.value.method == "hierarchical"
+        assert "positional" in str(info.value)
+
+    @pytest.mark.parametrize("sparse", [0, 0.0, 1, True, None, "dense"])
+    def test_pipeline_rejects_unknown_sparse_modes(self, sparse):
+        from repro.cluster.pipeline import MrMCMinH
+
+        with pytest.raises(errors.ClusterConfigError, match="sparse mode") as info:
+            MrMCMinH(method="hierarchical", linkage="single", sparse=sparse)
+        for mode in ("False", "'auto'", "'engine'"):
+            assert mode in str(info.value)
 
     def test_pipeline_raises_wire_compatibility(self):
         from repro.cluster.pipeline import MrMCMinH

@@ -24,13 +24,16 @@ def make_hdfs():
     return SimulatedHDFS(num_datanodes=4, block_size=256, replication=2, seed=0)
 
 
-def run_pipeline(records, runner=None, hdfs=None, sparse=False, spill=None):
+def run_pipeline(
+    records, runner=None, hdfs=None, sparse=False, spill=None, estimator=None
+):
     fs = hdfs or make_hdfs()
     model = MrMCMinH(
         kmer_size=5,
         num_hashes=48,
         threshold=0.78,
         method="greedy",
+        estimator=estimator,
         seed=0,
         runner=runner or SerialRunner(),
         sparse=sparse,
@@ -133,12 +136,12 @@ class TestEndToEndChaos:
         from repro.mapreduce.faults import BlockBitRot
 
         # Clean reference: the engine-sparse chain without faults, which
-        # itself must match the in-process sparse path byte for byte.
+        # itself must match the dense positional greedy run byte for byte.
         _clean_run, clean_tsv = run_pipeline(two_family_records, sparse="engine")
-        _in_process_run, in_process_tsv = run_pipeline(
-            two_family_records, sparse=True
+        _dense_run, dense_tsv = run_pipeline(
+            two_family_records, estimator="positional"
         )
-        assert clean_tsv == in_process_tsv
+        assert clean_tsv == dense_tsv
 
         # Chaos: mapper crashes + corrupted shuffle partitions across all
         # three jobs of the engine-sparse pipeline, plus silent bit-rot in

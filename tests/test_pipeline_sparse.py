@@ -1,40 +1,30 @@
-"""Tests for the sparse pipeline mode and the Map-Reduce candidate join."""
+"""Tests for the pipeline's two similarity paths and the cutoff net.
+
+``MrMCMinH`` runs either the dense path or the engine LSH chain.
+``sparse="auto"`` may only pick the chain for shapes where both give the
+same bytes, so no configuration's output depends on
+``SPARSE_AUTO_CUTOFF``: the net below fits every accepted configuration
+with the cutoff at 1 (every exact ``"auto"`` shape on the chain) and at
+10^9 (everything dense) and compares the TSVs.
+"""
+
+import itertools
 
 import pytest
 
-from repro.errors import ClusteringError
-from repro.cluster.pipeline import MrMCMinH
-from repro.cluster.sparse import candidate_pairs, candidate_pairs_mapreduce
-from repro.datasets import generate_whole_metagenome_sample
-from repro.minhash.sketch import SketchingConfig, compute_sketches
+from repro.cluster import pipeline
+from repro.cluster.hierarchical import LINKAGES
+from repro.cluster.pipeline import METHODS, MrMCMinH
+from repro.datasets import (
+    generate_environmental_sample,
+    generate_whole_metagenome_sample,
+)
+from repro.errors import ClusterConfigError, ClusteringError
 
 
 @pytest.fixture(scope="module")
 def sample():
     return generate_whole_metagenome_sample("S8", num_reads=60, genome_length=4000)
-
-
-@pytest.fixture(scope="module")
-def sketches(sample):
-    return compute_sketches(sample, SketchingConfig(kmer_size=5, num_hashes=48, seed=0))
-
-
-class TestCandidateJoinJob:
-    def test_matches_direct_computation(self, sketches):
-        direct = candidate_pairs(sketches)
-        via_job, result = candidate_pairs_mapreduce(sketches, num_reduce_tasks=3)
-        assert via_job == direct
-        assert result.trace is not None
-        assert result.trace.job_name == "sparse-candidates"
-
-    def test_max_group_respected(self, sketches):
-        direct = candidate_pairs(sketches, max_group=3)
-        via_job, _ = candidate_pairs_mapreduce(sketches, max_group=3)
-        assert via_job == direct
-
-    def test_empty_rejected(self):
-        with pytest.raises(ClusteringError):
-            candidate_pairs_mapreduce([])
 
 
 class TestSparsePipeline:
@@ -43,46 +33,126 @@ class TestSparsePipeline:
             kmer_size=5, num_hashes=48, threshold=0.78, method="greedy",
             estimator="positional", seed=0,
         ).fit(sample)
-        sparse = MrMCMinH(
+        engine = MrMCMinH(
             kmer_size=5, num_hashes=48, threshold=0.78, method="greedy",
-            seed=0, sparse=True,
+            seed=0, sparse="engine",
         ).fit(sample)
-        assert dict(dense.assignment) == dict(sparse.assignment)
+        assert (dense.mode, engine.mode) == ("dense", "engine")
+        assert dense.assignment.to_tsv() == engine.assignment.to_tsv()
 
     def test_sparse_single_linkage_equals_dense(self, sample):
-        def partition(assignment):
-            groups = {}
-            for rid, lbl in assignment.items():
-                groups.setdefault(lbl, set()).add(rid)
-            return {frozenset(g) for g in groups.values()}
-
         dense = MrMCMinH(
             kmer_size=5, num_hashes=48, threshold=0.78,
             method="hierarchical", linkage="single", seed=0,
         ).fit(sample)
-        sparse = MrMCMinH(
+        engine = MrMCMinH(
             kmer_size=5, num_hashes=48, threshold=0.78,
-            method="hierarchical", linkage="single", seed=0, sparse=True,
+            method="hierarchical", linkage="single", seed=0, sparse="engine",
         ).fit(sample)
-        assert partition(dict(dense.assignment)) == partition(dict(sparse.assignment))
+        assert (dense.mode, engine.mode) == ("dense", "engine")
+        assert dense.assignment.to_tsv() == engine.assignment.to_tsv()
 
     def test_sparse_traces_present(self, sample):
         run = MrMCMinH(
             kmer_size=5, num_hashes=48, threshold=0.78,
-            method="greedy", seed=0, sparse=True,
+            method="greedy", seed=0, sparse="engine",
         ).fit(sample)
         names = [t.job_name for t in run.traces]
-        assert "sparse-candidates" in names
+        assert "lsh-candidates" in names
+        assert "verify-candidates" in names
         assert run.similarity is None  # no dense matrix materialised
 
     def test_invalid_combinations(self):
         with pytest.raises(ClusteringError, match="single"):
-            MrMCMinH(method="hierarchical", linkage="average", sparse=True)
+            MrMCMinH(method="hierarchical", linkage="average", sparse="engine")
         with pytest.raises(ClusteringError, match="positional"):
-            MrMCMinH(method="greedy", estimator="set", sparse=True)
+            MrMCMinH(method="greedy", estimator="set", sparse="engine")
+        with pytest.raises(ClusteringError, match="positional"):
+            MrMCMinH(
+                method="hierarchical", linkage="single", estimator="set",
+                sparse="engine",
+            )
         with pytest.raises(ClusteringError, match="threshold"):
-            MrMCMinH(method="greedy", threshold=0.0, sparse=True)
+            MrMCMinH(method="greedy", threshold=0.0, sparse="engine")
 
     def test_sparse_greedy_default_estimator(self):
-        model = MrMCMinH(method="greedy", sparse=True)
-        assert model.estimator == "positional"
+        assert MrMCMinH(method="greedy", sparse="engine").estimator == "positional"
+        # Algorithm 1's set estimator is the default everywhere else.
+        assert MrMCMinH(method="greedy").estimator == "set"
+        assert MrMCMinH(method="greedy", sparse=False).estimator == "set"
+
+
+# ---------------------------------------------------------------- cutoff net
+
+NET_SAMPLES = {
+    "wgs": dict(kmer_size=5, num_hashes=48, threshold=0.78),
+    "16s": dict(kmer_size=15, num_hashes=32, threshold=0.9),
+}
+
+NET_CONFIGS = [
+    pytest.param(
+        sample_name, method, linkage, estimator, wire_bits, sparse,
+        id=f"{sample_name}-{method}-{linkage}-{estimator}-{wire_bits}-{sparse}",
+    )
+    for sample_name, method, linkage, estimator, wire_bits, sparse in (
+        itertools.product(
+            NET_SAMPLES, METHODS, LINKAGES, (None, "set", "positional"),
+            (None, 8), (False, "auto", "engine"),
+        )
+    )
+]
+
+
+@pytest.fixture(scope="module")
+def net_reads():
+    return {
+        "wgs": generate_whole_metagenome_sample(
+            "S1", num_reads=80, genome_length=4000
+        ),
+        "16s": generate_environmental_sample("53R", num_reads=80, seed=0),
+    }
+
+
+def _build(monkeypatch, cutoff, kwargs):
+    monkeypatch.setattr(pipeline, "SPARSE_AUTO_CUTOFF", cutoff)
+    try:
+        return MrMCMinH(**kwargs)
+    except ClusterConfigError as exc:
+        return exc
+
+
+@pytest.mark.parametrize(
+    "sample_name, method, linkage, estimator, wire_bits, sparse", NET_CONFIGS
+)
+def test_output_never_depends_on_the_cutoff(
+    monkeypatch, net_reads, sample_name, method, linkage, estimator,
+    wire_bits, sparse,
+):
+    kwargs = dict(
+        NET_SAMPLES[sample_name], method=method, linkage=linkage,
+        estimator=estimator, wire_bits=wire_bits, sparse=sparse, seed=0,
+    )
+    low = _build(monkeypatch, 1, kwargs)
+    high = _build(monkeypatch, 10**9, kwargs)
+    if isinstance(high, ClusterConfigError):
+        # Rejected at construction, whatever the cutoff.
+        assert type(low) is type(high) and str(low) == str(high)
+        return
+    assert not isinstance(low, ClusterConfigError)
+    reads = net_reads[sample_name]
+    monkeypatch.setattr(pipeline, "SPARSE_AUTO_CUTOFF", 1)
+    low_run = low.fit(reads)
+    monkeypatch.setattr(pipeline, "SPARSE_AUTO_CUTOFF", 10**9)
+    high_run = high.fit(reads)
+    assert low_run.assignment.to_tsv() == high_run.assignment.to_tsv()
+
+    # "auto" takes the chain, given the cutoff, exactly for the shapes a
+    # forced "engine" with the same estimator accepts.
+    forced = _build(
+        monkeypatch, 10**9,
+        dict(kwargs, estimator=high.estimator, sparse="engine"),
+    )
+    engine_exact = not isinstance(forced, ClusterConfigError)
+    chain_at_low = sparse == "engine" or (sparse == "auto" and engine_exact)
+    assert low_run.mode == ("engine" if chain_at_low else "dense")
+    assert high_run.mode == ("engine" if sparse == "engine" else "dense")

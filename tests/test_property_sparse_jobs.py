@@ -4,10 +4,12 @@ On random sketch sets (hypothesis-generated matrices), the engine-sparse
 job chain must produce exactly the in-process candidate pairs, and the
 three similarity paths must agree on the final clustering wherever
 exactness is guaranteed: byte-identical TSV for sparse vs engine-sparse
-(single linkage and greedy), dict-equal labels for dense-positional vs
-sparse greedy, and partition-equal clusters for dense vs sparse single
-linkage (the dense dendrogram numbers clusters differently from the
-union-find sweep, so equality is of the partition, not the label bytes).
+(single linkage and greedy) and for dense vs sparse single linkage (the
+dendrogram cut and the union-find sweep both number clusters in
+first-seen leaf order), and dict-equal labels for dense-positional vs
+sparse greedy.  ``MrMCMinH(sparse="auto")`` relies on these identities
+to move exact shapes between the dense path and the chain without
+changing a byte.
 
 The pigeonhole net plants near-duplicate rows (a copy with a few
 positions redrawn) so that many pairs sit just above and just below θ,
@@ -152,14 +154,7 @@ def test_single_linkage_dense_vs_sparse_same_partition(values, threshold):
         linkage="single",
     )
     sparse = sparse_single_linkage(sketches, threshold)
-
-    def partition(assignment):
-        clusters = {}
-        for read_id, label in assignment.items():
-            clusters.setdefault(label, set()).add(read_id)
-        return {frozenset(members) for members in clusters.values()}
-
-    assert partition(dense) == partition(sparse)
+    assert dense.to_tsv() == sparse.to_tsv()
 
 
 def positional_edges(values, theta):

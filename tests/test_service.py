@@ -381,6 +381,33 @@ class TestDegradedClusterSpec:
         # but must still assign every read.
         assert len(degraded.assignment) == len(full.assignment)
 
+    def test_degraded_greedy_runs_the_engine_chain(self, two_family_records):
+        """Degraded greedy moves to the engine chain: the same bytes as a
+        direct b-bit positional engine fit, with no second collision join."""
+        from repro.cluster.pipeline import MrMCMinH
+        from repro.mapreduce.runner import SerialRunner
+
+        spec = ClusterJobSpec(
+            records=tuple(two_family_records),
+            kmer_size=5,
+            num_hashes=32,
+            threshold=0.5,
+            method="greedy",
+            seed=0,
+            num_map_tasks=2,
+        )
+        degraded = spec.execute(SerialRunner(), degraded=True)
+        direct = MrMCMinH(
+            kmer_size=5, num_hashes=32, threshold=0.5, method="greedy",
+            estimator="positional", wire_bits=8, sparse="engine", seed=0,
+            num_map_tasks=2,
+        ).fit(two_family_records)
+        assert degraded.mode == direct.mode == "engine"
+        assert degraded.assignment.to_tsv() == direct.assignment.to_tsv()
+        assert [t.job_name for t in degraded.traces] == [
+            t.job_name for t in direct.traces
+        ]
+
     def test_degraded_hierarchical_average_keeps_dense_path(
         self, two_family_records
     ):

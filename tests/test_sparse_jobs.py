@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.cluster import pipeline
 from repro.cluster.pipeline import MrMCMinH, SPARSE_AUTO_CUTOFF
 from repro.cluster.sparse import (
     candidate_pairs,
@@ -286,9 +287,9 @@ class TestPipelineIntegration:
             kmer_size=5, num_hashes=32, threshold=0.6,
             method="hierarchical", linkage="single", seed=1,
         )
-        a = MrMCMinH(sparse=True, **base).fit(two_family_records)
         b = MrMCMinH(sparse="engine", **base).fit(two_family_records)
-        assert a.assignment.to_tsv() == b.assignment.to_tsv()
+        a = sparse_single_linkage(b.sketches, base["threshold"])
+        assert a.to_tsv() == b.assignment.to_tsv()
         assert b.mode == "engine"
         assert b.sparse_stats["rounds"] == 2
         assert b.sparse_stats["shuffle_bytes"] > 0
@@ -300,31 +301,38 @@ class TestPipelineIntegration:
         assert run.mode == "dense"
         assert run.sparse_stats is None
 
-    def test_auto_resolves_engine_above_cutoff(self, two_family_records):
+    def test_auto_resolves_engine_above_cutoff(
+        self, two_family_records, monkeypatch
+    ):
+        monkeypatch.setattr(pipeline, "SPARSE_AUTO_CUTOFF", 4)
         model = MrMCMinH(
             kmer_size=5, num_hashes=32, threshold=0.6,
-            method="hierarchical", linkage="single", sparse_cutoff=4,
+            method="hierarchical", linkage="single",
         )
         run = model.fit(two_family_records)
         assert run.mode == "engine"
         assert run.sparse_stats["candidate_pairs"] > 0
 
-    def test_auto_stays_dense_for_inexact_shapes(self, two_family_records):
+    def test_auto_stays_dense_for_inexact_shapes(
+        self, two_family_records, monkeypatch
+    ):
+        monkeypatch.setattr(pipeline, "SPARSE_AUTO_CUTOFF", 4)
         # Average linkage is never sparse-exact: auto must not flip.
         run = MrMCMinH(
             kmer_size=5, num_hashes=32, threshold=0.6,
-            method="hierarchical", linkage="average", sparse_cutoff=4,
+            method="hierarchical", linkage="average",
         ).fit(two_family_records)
         assert run.mode == "dense"
-        # An explicitly requested set estimator pins dense too.
-        run = MrMCMinH(
-            kmer_size=5, num_hashes=32, threshold=0.6,
-            method="greedy", estimator="set", sparse_cutoff=4,
-        ).fit(two_family_records)
-        assert run.mode == "dense"
+        # The set estimator pins dense too, requested or by default.
+        for estimator in ("set", None):
+            run = MrMCMinH(
+                kmer_size=5, num_hashes=32, threshold=0.6,
+                method="greedy", estimator=estimator,
+            ).fit(two_family_records)
+            assert run.mode == "dense"
 
     def test_default_cutoff_exported(self):
-        assert MrMCMinH().sparse_cutoff == SPARSE_AUTO_CUTOFF
+        assert SPARSE_AUTO_CUTOFF == 4096
         assert MrMCMinH().sparse == "auto"
 
     def test_engine_mode_with_wire_bits(self, two_family_records):
@@ -356,8 +364,9 @@ class TestServiceIntegration:
         assert run.mode == "engine"
         expected = MrMCMinH(
             kmer_size=5, num_hashes=32, threshold=0.6,
-            method="hierarchical", linkage="single", sparse=True,
+            method="hierarchical", linkage="single", sparse=False,
         ).fit(two_family_records)
+        assert expected.mode == "dense"
         assert run.assignment.to_tsv() == expected.assignment.to_tsv()
 
     def test_degraded_engine_spec_stays_on_engine(self, two_family_records):
