@@ -8,7 +8,10 @@ per-record overhead, and the agglomerative clustering step.
 from __future__ import annotations
 
 from repro.cluster.hierarchical import build_dendrogram
-from repro.datasets import generate_whole_metagenome_sample
+from repro.datasets import (
+    generate_environmental_sample,
+    generate_whole_metagenome_sample,
+)
 from repro.mapreduce.job import MapReduceJob, identity_mapper, identity_reducer
 from repro.mapreduce.runner import SerialRunner
 from repro.mapreduce.types import JobConf
@@ -30,6 +33,21 @@ def test_bench_sketching(benchmark):
     config = SketchingConfig(kmer_size=5, num_hashes=100)
     sketches = benchmark(lambda: compute_sketches(reads, config))
     assert len(sketches) == len(reads)
+
+
+def test_bench_sketching_short_16s_reads(benchmark):
+    """The scan side of the small-universe kernel: ~60-bp 16S amplicon
+    reads hold ~56 5-mers, far below the 512 valid windows at which the
+    head-rank probe takes over, so every read is scanned."""
+    reads = generate_environmental_sample("53R", num_reads=5000, seed=0)
+    config = SketchingConfig(kmer_size=5, num_hashes=100)
+    sketches = benchmark(lambda: compute_sketches(reads, config))
+    family = config.make_family()
+    expected = [compute_sketch(r, config, family) for r in reads]
+    assert [s.read_id for s in sketches] == [s.read_id for s in expected]
+    assert all(
+        s.values.tobytes() == e.values.tobytes() for s, e in zip(sketches, expected)
+    )
 
 
 def test_bench_sketching_reference_loop(benchmark):

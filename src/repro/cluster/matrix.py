@@ -18,12 +18,18 @@ from repro.mapreduce.job import MapReduceJob, identity_reducer
 from repro.mapreduce.runner import JobResult, SerialRunner
 from repro.mapreduce.types import JobConf
 from repro.minhash.sketch import MinHashSketch
-from repro.minhash.similarity import pairwise_similarity_matrix
+from repro.minhash.similarity import pairwise_match_counts, pairwise_similarity_matrix
 from repro.utils.chunking import chunk_indices
 
 
 class _BandMapper:
-    """Picklable mapper holding the broadcast sketch set."""
+    """Picklable mapper holding the broadcast sketch set.
+
+    This is where a band's format is decided: the positional estimator's
+    band is its integer match counts (:func:`pairwise_match_counts`,
+    ``np.min_scalar_type(n)``, one byte per pair up to n = 255), which the
+    driver divides by n once; the set estimator's band is float64.
+    """
 
     def __init__(self, sketches: Sequence[MinHashSketch], estimator: str):
         self.sketches = list(sketches)
@@ -31,16 +37,25 @@ class _BandMapper:
 
     def __call__(self, key, value):
         start, stop = value
-        band = pairwise_similarity_matrix(
-            self.sketches, estimator=self.estimator, row_range=(start, stop)
-        )
+        if self.estimator == "positional":
+            band = pairwise_match_counts(self.sketches, row_range=(start, stop))
+        else:
+            band = pairwise_similarity_matrix(
+                self.sketches, estimator=self.estimator, row_range=(start, stop)
+            )
         yield start, band
 
 
 def similarity_band_job(
     sketches: Sequence[MinHashSketch], *, estimator: str = "positional"
 ) -> MapReduceJob:
-    """Build the similarity Map-Reduce job over a fixed sketch set."""
+    """Build the similarity Map-Reduce job over a fixed sketch set.
+
+    Each map task emits ``(start, band)`` for its row band: integer match
+    counts for the positional estimator, float64 similarities for the set
+    estimator.  :func:`compute_similarity_matrix` turns either into rows
+    of the float64 matrix.
+    """
     if not sketches:
         raise ClusteringError("cannot build a similarity job over no sketches")
     return MapReduceJob(
@@ -69,8 +84,11 @@ def compute_similarity_matrix(
 
     Returns
     -------
-    ``(matrix, job_result)`` — the assembled ``(N, N)`` matrix and the
-    engine result (counters + trace for the cluster simulator).
+    ``(matrix, job_result)`` — the assembled ``(N, N)`` float64 matrix
+    and the engine result (counters + trace for the cluster simulator).
+    Positional bands arrive as match counts and are divided by n here,
+    once, into the matrix's rows: the same bytes as
+    :func:`~repro.minhash.similarity.pairwise_similarity_matrix`.
     """
     n = len(sketches)
     if n == 0:
@@ -89,10 +107,15 @@ def compute_similarity_matrix(
         [(band_id, rng) for band_id, rng in bands],
         JobConf(num_map_tasks=len(bands), num_reduce_tasks=1, sort_output=True),
     )
+    num_hashes = len(sketches[0])
     matrix = np.empty((n, n), dtype=np.float64)
     filled = 0
     for start, band in result.output:
-        matrix[start : start + band.shape[0]] = band
+        rows = matrix[start : start + band.shape[0]]
+        if band.dtype.kind == "f":
+            rows[...] = band
+        else:
+            np.divide(band, num_hashes, out=rows)
         filled += band.shape[0]
     if filled != n:
         raise ClusteringError(

@@ -36,6 +36,7 @@ from repro.minhash.similarity import (
     exact_jaccard,
     positional_similarity,
     set_similarity,
+    pairwise_match_counts,
     pairwise_similarity_matrix,
     condensed_to_square,
 )
@@ -67,6 +68,7 @@ __all__ = [
     "exact_jaccard",
     "positional_similarity",
     "set_similarity",
+    "pairwise_match_counts",
     "pairwise_similarity_matrix",
     "condensed_to_square",
     "SketchFrame",

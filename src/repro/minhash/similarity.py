@@ -15,9 +15,10 @@ The pairwise matrix (used by the hierarchical algorithm, Algorithm 2
 step 3) is computed one sketch position at a time: each position's column
 is narrowed to the smallest unsigned dtype that holds every value exactly,
 the band's rows are compared against the whole column, and the matches
-are accumulated in a small integer counter that is divided by n once.
-The Map-Reduce layer partitions rows across tasks exactly as described in
-Section III-C ("row-wise partition").
+are accumulated in a small integer counter (:func:`pairwise_match_counts`)
+that is divided by n once.  The Map-Reduce layer partitions rows across
+tasks exactly as described in Section III-C ("row-wise partition") and
+ships those counts, not the floats.
 """
 
 from __future__ import annotations
@@ -104,22 +105,18 @@ def pairwise_similarity_matrix(
     Returns
     -------
     ``float64`` matrix; the full matrix is symmetric with unit diagonal.
+    The positional matrix is :func:`pairwise_match_counts` divided by n.
     """
     if estimator not in ESTIMATORS:
         raise SketchError(
             f"unknown estimator {estimator!r}; expected one of {ESTIMATORS}"
         )
-    n = len(sketches)
-    if n == 0:
+    if not sketches:
         return np.empty((0, 0), dtype=np.float64)
-    start, stop = row_range if row_range is not None else (0, n)
-    if not (0 <= start <= stop <= n):
-        raise SketchError(f"row_range {row_range} out of bounds for N={n}")
-
-    matrix = sketch_matrix(sketches)  # validates family compatibility
-
     if estimator == "positional":
-        return _positional_rows(matrix, start, stop)
+        return pairwise_match_counts(sketches, row_range=row_range) / len(sketches[0])
+    matrix, start, stop = _sketch_rows(sketches, row_range)
+    n = matrix.shape[0]
 
     # Set-based path: each row's distinct values live in a padded sorted
     # block, so one np.isin per row scores it against every other row at
@@ -134,15 +131,24 @@ def pairwise_similarity_matrix(
     return out
 
 
-def _positional_rows(matrix: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Rows ``start:stop`` of the positional matrix: the fraction of the n
-    sketch positions where two rows agree.
+def pairwise_match_counts(
+    sketches: Sequence[MinHashSketch],
+    *,
+    row_range: tuple[int, int] | None = None,
+) -> np.ndarray:
+    """Rows ``row_range`` of the positional match-count matrix: how many of
+    the n sketch positions two sketches agree on.
 
-    One pass per position compares the band's slice of that position's
-    column against the whole column and adds the matches into an integer
-    counter just wide enough for n.  The count k is exact, so ``k / n`` is
-    the same float64 that ``np.mean`` of the boolean matches produces.
+    The dtype is ``np.min_scalar_type(n)`` (uint8 up to n = 255).  One
+    pass per position compares the band's slice of that position's
+    column against the whole column and adds the matches into that
+    counter.  The count k is exact, so ``k / n`` is the same float64 that
+    ``np.mean`` of the boolean matches produces; the similarity job ships
+    these counts and divides once on the driver.
     """
+    if not sketches:
+        return np.empty((0, 0), dtype=np.uint8)
+    matrix, start, stop = _sketch_rows(sketches, row_range)
     num_hashes = matrix.shape[1]
     # Columns in the narrowest unsigned dtype that holds every value
     # exactly; int64 when a value is negative.
@@ -157,7 +163,18 @@ def _positional_rows(matrix: np.ndarray, start: int, stop: int) -> np.ndarray:
     for column in columns:
         np.equal(column[start:stop, None], column[None, :], out=equal)
         counts += equal.view(np.uint8)
-    return counts / num_hashes
+    return counts
+
+
+def _sketch_rows(
+    sketches: Sequence[MinHashSketch], row_range: tuple[int, int] | None
+) -> tuple[np.ndarray, int, int]:
+    """The stacked sketch matrix and the validated ``(start, stop)`` rows."""
+    n = len(sketches)
+    start, stop = row_range if row_range is not None else (0, n)
+    if not (0 <= start <= stop <= n):
+        raise SketchError(f"row_range {row_range} out of bounds for N={n}")
+    return sketch_matrix(sketches), start, stop  # validates family compatibility
 
 
 def condensed_to_square(condensed: np.ndarray, n: int) -> np.ndarray:

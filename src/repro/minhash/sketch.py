@@ -9,11 +9,13 @@ byte-identical sketches:
 * :func:`compute_sketches_batch` — the vectorised fast path: every
   sequence of the batch is 2-bit-encoded in a single NumPy pass (the
   sequences are joined with an ambiguous separator so windows can never
-  straddle two records), all k-mer codes are hashed through the
-  :class:`~repro.minhash.universal.UniversalHashFamily` as one
-  ``(num_hashes, total_kmers)`` broadcast, and per-sequence minima fall
-  out of ``np.minimum.reduceat`` over the record segments.  No Python
-  loop runs per record.
+  straddle two records) and rolled into k-mer codes in the narrowest
+  unsigned dtype.  For small universes (k <= 8) each hash function's
+  minimum is the value of the first code, in that function's value
+  order, that the read contains: dense reads read it off a presence
+  bitmap probed at the first few ranks, and the rest scan a cached hash
+  table.  Large universes dedupe ``(read, code)`` pairs by sorting and
+  hash the distinct codes.  No Python loop runs per record.
 
 :func:`compute_sketches` (the whole-sample API) routes through the batch
 kernel; :func:`sketch_matrix` stacks results into an ``(N, n)`` matrix
@@ -33,8 +35,10 @@ from repro.seq.alphabet import encode_dna
 from repro.seq.kmers import kmer_set, max_kmer_code
 from repro.seq.records import SequenceRecord
 
-#: Upper bound on the ``(num_hashes, chunk)`` hash matrix evaluated at once
-#: by the batch kernel; bounds peak memory while keeping passes large.
+#: Working-set budget of one step of the batch kernel: k-mers per hashed
+#: chunk on the large-universe path (a ``(num_hashes, chunk)`` matrix);
+#: bitmap cells per probe block and gathered table entries per scan block
+#: on the small-universe path.  Bounds peak memory, not correctness.
 DEFAULT_CHUNK_KMERS = 1 << 20
 
 
@@ -136,21 +140,23 @@ def compute_sketch(
 
 
 #: Universe sizes up to this get a precomputed per-family hash table
-#: (``num_hashes x universe``, narrow dtype) instead of re-hashing codes.
+#: (``universe x num_hashes``, narrow dtype) instead of re-hashing codes.
 SMALL_UNIVERSE_MAX = 1 << 16
 
-#: Element budget for the blocked ``(records, windows, hashes)`` gather in
-#: the small-universe path (bounds peak memory, not correctness).
-_GATHER_BUDGET_ELEMENTS = 1 << 22
+#: Leading ranks of each hash function's value order the probe checks
+#: before it falls back to the exact scan.
+_HEAD_RANKS = 16
 
 
 def _narrow_dtype(universe: int) -> np.dtype:
-    """Smallest unsigned dtype that holds hash values in ``[0, universe)``."""
+    """Smallest unsigned dtype that holds values in ``[0, universe)``."""
     if universe <= 1 << 8:
         return np.dtype(np.uint8)
     if universe <= 1 << 16:
         return np.dtype(np.uint16)
-    return np.dtype(np.uint32)
+    if universe <= 1 << 32:
+        return np.dtype(np.uint32)
+    return np.dtype(np.uint64)  # k-mer codes for k > 16
 
 
 def _segmented_min(
@@ -189,22 +195,23 @@ def sketch_values_batch(
     :func:`compute_sketches`).  Output rows are byte-identical to
     :func:`compute_sketch` on the corresponding record.
 
-    The kernel 2-bit-encodes the whole batch once (records joined with an
-    ``N`` separator, which encodes to -1, so no window can span two
-    records) and extracts every valid k-mer window in one strided pass.
-    Small universes (``4**k <= 2**16``) hash each universe code exactly
-    once into a cached per-family table and dedupe ``(record, code)``
-    pairs through a presence matrix; large universes dedupe by sorting and
-    hash each distinct code per chunk.  Either way the hash family is
-    evaluated as one broadcasted pass over distinct codes and per-sequence
-    minima come from segmented ``take``/``reduceat`` — no per-record
-    Python loop anywhere.
+    The batch is 2-bit-encoded once (records joined with an ``N``
+    separator, so no valid window spans two records) and every valid
+    window's code is built by a rolling ``code << 2 | base`` in the
+    narrowest unsigned dtype; the valid codes stay in record order, and
+    per-record counts come from where the valid windows start.  Small
+    universes (``4**k <= 2**16``) then take each record with at least
+    ``4**k / 2`` valid windows through a head-rank probe and every other
+    record, and every record the probe cannot settle, through an exact
+    scan of a cached hash table; large universes dedupe ``(record,
+    code)`` pairs by sorting and hash each distinct code per chunk.
+    ``chunk_kmers`` bounds the working set of one step (see
+    :data:`DEFAULT_CHUNK_KMERS`).  No Python loop runs per record.
     """
     k = config.kmer_size
     if family is None:
         family = config.make_family()
     num_records = len(sequences)
-    universe = family.universe_size
     if chunk_kmers < 1:
         raise SketchError(f"chunk_kmers must be >= 1, got {chunk_kmers}")
     if num_records == 0:
@@ -212,7 +219,7 @@ def sketch_values_batch(
             0, dtype=np.intp
         )
 
-    codes = encode_dna("N".join(sequences), strict=False).astype(np.int64)
+    bases = encode_dna("N".join(sequences), strict=False)
     lengths = np.fromiter(
         (len(s) for s in sequences), dtype=np.int64, count=num_records
     )
@@ -220,97 +227,168 @@ def sketch_values_batch(
     np.cumsum(lengths + 1, out=starts[1:])  # +1 for the separator
 
     if config.strict:
-        _raise_first_strict_error(sequences, codes, starts, lengths, k)
+        _raise_first_strict_error(sequences, bases, starts, lengths, k)
 
-    num_windows = codes.size - k + 1
-    if num_windows > 0:
-        # A window is valid iff it covers no invalid/separator position:
-        # count invalid positions per window with one cumulative sum.
-        bad = np.zeros(codes.size + 1, dtype=np.int64)
-        np.cumsum(codes < 0, out=bad[1:])
-        valid = bad[k:] == bad[:num_windows]
-        weights = 4 ** np.arange(k - 1, -1, -1, dtype=np.int64)
-        windows = np.lib.stride_tricks.sliding_window_view(codes, k)
-        positions = np.flatnonzero(valid)
-        window_codes = windows[valid] @ weights
-        # A valid window contains no separator, so it lies inside exactly
-        # one record: the one whose span covers its start position.
-        owners = np.searchsorted(starts[1:], positions, side="right")
+    codes, counts = _window_codes(bases, k, starts)
+    del bases
+    kept = np.flatnonzero(counts)
+    offsets = np.zeros(kept.size + 1, dtype=np.int64)
+    np.cumsum(counts[kept], out=offsets[1:])
+    if family.universe_size <= SMALL_UNIVERSE_MAX:
+        values = _small_universe_minima(family, codes, offsets, chunk_kmers)
     else:
-        window_codes = np.empty(0, dtype=np.int64)
-        owners = np.empty(0, dtype=np.intp)
+        values = _large_universe_minima(family, codes, offsets, chunk_kmers)
+    return values, kept
 
-    minima = np.full(
-        (num_records, family.num_hashes), np.iinfo(np.int64).max, dtype=np.int64
-    )
-    produced = np.zeros(num_records, dtype=bool)
-    if universe <= SMALL_UNIVERSE_MAX:
-        _small_universe_minima(
-            family, universe, owners, window_codes, num_records, minima, produced
-        )
-    else:
-        _large_universe_minima(
-            family, universe, owners, window_codes, chunk_kmers, minima, produced
-        )
 
-    kept = np.flatnonzero(produced)
-    return minima[kept], kept
+def _window_codes(
+    bases: np.ndarray, k: int, starts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Codes of the valid k-mer windows, record-major, and per-record counts.
+
+    ``bases`` is the joined batch's 2-bit encoding (-1 where a base is
+    ambiguous or a separator) and ``starts`` each record's offset into
+    it.  A window is valid when all k of its bases are; its code is built
+    by k passes of ``code << 2 | base`` in the narrowest unsigned dtype
+    that holds ``4**k`` codes.  Invalid bases read as 3 there, which only
+    touches windows the validity mask drops.
+    """
+    num_windows = bases.size - k + 1
+    if num_windows <= 0:
+        return np.empty(0, dtype=np.uint8), np.zeros(starts.size - 1, dtype=np.int64)
+    ok = bases >= 0
+    two_bit = (bases.view(np.uint8) & 3).astype(_narrow_dtype(4**k), copy=False)
+    code = two_bit[:num_windows].copy()
+    valid = ok[:num_windows].copy()
+    for j in range(1, k):
+        code <<= 2
+        code |= two_bit[j : j + num_windows]
+        valid &= ok[j : j + num_windows]
+    # A valid window covers no separator, so it belongs to the record
+    # whose span holds its first base: count valid starts between the
+    # record offsets.
+    counts = np.diff(np.searchsorted(np.flatnonzero(valid), starts))
+    return code[valid], counts
 
 
 def _small_universe_minima(
     family: UniversalHashFamily,
-    universe: int,
-    owners: np.ndarray,
-    window_codes: np.ndarray,
-    num_records: int,
-    minima: np.ndarray,
-    produced: np.ndarray,
-) -> None:
-    """Small-universe path: cached transposed hash table + blocked gather.
+    codes: np.ndarray,
+    offsets: np.ndarray,
+    budget: int,
+) -> np.ndarray:
+    """Small-universe minima: head-rank probe, then an exact scan.
 
-    Every universe code is hashed exactly once (cached on the family) into
-    a ``(universe + 1, num_hashes)`` row-major table whose extra last row
-    is the dtype maximum.  Per block of records, window codes scatter into
-    a ``(block, max_windows)`` index matrix padded with that sentinel row,
-    so one contiguous row-gather plus one ``min(axis=1)`` yields every
-    record's sketch — padding can never lower a minimum.  Blocks are sized
-    to keep the gathered ``(block, max_windows, num_hashes)`` tensor
-    inside a fixed element budget; no per-record Python loop anywhere.
+    Record ``r`` owns ``codes[offsets[r]:offsets[r + 1]]``.  Records with
+    at least ``universe / 2`` valid windows go to the probe; at that
+    density a record almost never lacks all of a hash's head codes.
+    The sparser ones, for which building a bitmap costs more than the
+    scan it saves, and every record the probe cannot settle go to the
+    scan.
     """
     table = _hash_table_t(family)
-    counts = np.bincount(owners, minlength=num_records)
-    segments = np.zeros(num_records + 1, dtype=np.int64)
-    np.cumsum(counts, out=segments[1:])
-    np.greater(counts, 0, out=produced)
-    width = int(counts.max(initial=0))
-    if width == 0:
-        return
-    rows_per_block = max(
-        1, _GATHER_BUDGET_ELEMENTS // (width * family.num_hashes)
-    )
-    for first in range(0, num_records, rows_per_block):
-        last = min(first + rows_per_block, num_records)
-        block_counts = counts[first:last]
-        block_width = int(block_counts.max(initial=0))
-        if block_width == 0:
-            continue
-        lo, hi = segments[first], segments[last]
-        padded = np.full((last - first, block_width), universe, dtype=np.int64)
-        rows = np.repeat(np.arange(last - first), block_counts)
-        cols = np.arange(hi - lo) - np.repeat(segments[first:last] - lo, block_counts)
-        padded[rows, cols] = window_codes[lo:hi]
-        minima[first:last] = table[padded].min(axis=1)
+    universe = table.shape[0]
+    minima = np.empty((offsets.size - 1, family.num_hashes), dtype=np.int64)
+    to_scan = np.diff(offsets) < universe // 2
+    probed = np.flatnonzero(~to_scan)
+    if probed.size:
+        to_scan[_probe_minima(family, codes, offsets, probed, budget, minima)] = True
+    _scan_minima(table, codes, offsets, np.flatnonzero(to_scan), budget, minima)
+    return minima
+
+
+def _probe_minima(
+    family: UniversalHashFamily,
+    codes: np.ndarray,
+    offsets: np.ndarray,
+    records: np.ndarray,
+    budget: int,
+    minima: np.ndarray,
+) -> np.ndarray:
+    """Head-rank probe: fill ``minima`` for ``records``; return the misses.
+
+    Hash function i's minimum over a record's codes is the value of the
+    lowest-ranked code, in i's value order, that the record contains —
+    so when one of the first :data:`_HEAD_RANKS` codes is present, the
+    first present one gives the exact minimum (ties in value do not
+    matter: the first present code's value is at most every other present
+    code's).  Per block of records, a ``(block, universe)`` presence
+    bitmap is gathered at the ``(num_hashes, depth)`` head codes and each
+    hash takes its first hit.  A record where any hash finds no hit is
+    returned for the exact scan.
+    """
+    head_codes, head_values = _head_ranks(family)
+    universe = family.universe_size
+    hash_index = np.arange(family.num_hashes)
+    per_block = max(1, budget // universe)
+    missed = []
+    for lo in range(0, records.size, per_block):
+        block = records[lo : lo + per_block]
+        window_codes, counts = _windows_of(codes, offsets, block)
+        cells = np.repeat(np.arange(0, block.size * universe, universe), counts)
+        cells += window_codes
+        present = np.zeros((block.size, universe), dtype=bool)
+        present.flat[cells] = True
+        hits = present[:, head_codes]  # (block, num_hashes, depth)
+        first = hits.argmax(axis=2)
+        settled = hits.any(axis=2).all(axis=1)
+        minima[block[settled]] = head_values[hash_index, first[settled]]
+        missed.append(block[~settled])
+    return np.concatenate(missed)
+
+
+def _scan_minima(
+    table: np.ndarray,
+    codes: np.ndarray,
+    offsets: np.ndarray,
+    records: np.ndarray,
+    budget: int,
+    minima: np.ndarray,
+) -> None:
+    """Exact minima of ``records``: gather the table row of every window
+    and take each hash's minimum over the record's windows.
+
+    Records are grouped by window count, so a group's windows form a
+    ``(records, width)`` index rectangle with no padding, and one
+    ``min(axis=1)`` over the gathered ``(records, width, num_hashes)``
+    block reduces it (2-3x faster than a segmented ``minimum.reduceat``
+    over the same rows).  Blocks hold whole records and at most
+    ``budget`` gathered entries, one record at least.  Duplicate codes
+    need no dedup: a minimum over a multiset is the minimum over its set.
+    """
+    num_hashes = table.shape[1]
+    counts = offsets[records + 1] - offsets[records]
+    order = np.argsort(counts, kind="stable")
+    widths = counts[order]
+    edges = np.flatnonzero(np.diff(widths, prepend=-1, append=-1)).tolist()
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        width = int(widths[lo])
+        per_block = max(1, budget // (width * num_hashes))
+        for first in range(lo, hi, per_block):
+            block = records[order[first : min(hi, first + per_block)]]
+            windows = codes[offsets[block, None] + np.arange(width)]
+            minima[block] = table[windows].min(axis=1)
+
+
+def _windows_of(
+    codes: np.ndarray, offsets: np.ndarray, records: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Window codes of ``records`` (ascending), concatenated, and their
+    per-record counts.  A run of consecutive records is one slice."""
+    lo, hi = offsets[records], offsets[records + 1]
+    counts = hi - lo
+    if records[-1] - records[0] + 1 == records.size:
+        return codes[lo[0] : hi[-1]], counts
+    shift = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    return codes[shift + np.arange(shift.size)], counts
 
 
 def _large_universe_minima(
     family: UniversalHashFamily,
-    universe: int,
-    owners: np.ndarray,
-    window_codes: np.ndarray,
+    codes: np.ndarray,
+    offsets: np.ndarray,
     chunk_kmers: int,
-    minima: np.ndarray,
-    produced: np.ndarray,
-) -> None:
+) -> np.ndarray:
     """Large-universe path: sort-based dedup, hash distinct codes per chunk.
 
     ``(record, code)`` pairs are deduped with one ``np.unique`` over the
@@ -318,10 +396,16 @@ def _large_universe_minima(
     within a record — the same order as the per-record feature sets); each
     chunk hashes only its distinct codes and gathers.
     """
-    combined = np.unique(owners * universe + window_codes)
+    universe = family.universe_size
+    num_records = offsets.size - 1
+    owners = np.repeat(np.arange(num_records, dtype=np.int64), np.diff(offsets))
+    combined = np.unique(owners * universe + codes)
     owners_u = combined // universe
     codes_u = combined % universe
     dtype = _narrow_dtype(universe)
+    minima = np.full(
+        (num_records, family.num_hashes), np.iinfo(np.int64).max, dtype=np.int64
+    )
     for lo in range(0, combined.size, chunk_kmers):
         chunk_owners = owners_u[lo : lo + chunk_kmers]
         chunk_codes = codes_u[lo : lo + chunk_kmers]
@@ -334,16 +418,14 @@ def _large_universe_minima(
         # minimum instead of assigning (segment owners are unique within
         # one chunk, so the fancy-indexed read/modify/write is safe).
         minima[segment_owner] = np.minimum(minima[segment_owner], segment_min)
-        produced[segment_owner] = True
+    return minima
 
 
 def _hash_table_t(family: UniversalHashFamily) -> np.ndarray:
-    """Transposed ``(universe + 1, num_hashes)`` hash table for small universes.
+    """Transposed ``(universe, num_hashes)`` hash table for small universes.
 
     ``table[x, i] == family.hash_values([x])[i]`` in the smallest unsigned
-    dtype that fits; the extra last row holds the dtype maximum and serves
-    as the gather sentinel for padded window slots (it can never undercut
-    a real minimum).  Computed once and cached on the (immutable) family —
+    dtype that fits.  Computed once and cached on the (immutable) family —
     after that, hashing a window is a contiguous-row gather instead of
     modular arithmetic.
     """
@@ -354,12 +436,35 @@ def _hash_table_t(family: UniversalHashFamily) -> np.ndarray:
         )
     cached = getattr(family, "_hash_table_t", None)
     if cached is None:
-        dtype = _narrow_dtype(family.universe_size)
         codes = np.arange(family.universe_size, dtype=np.int64)
-        cached = np.empty((family.universe_size + 1, family.num_hashes), dtype=dtype)
-        cached[:-1] = family.hash_values(codes).T
-        cached[-1] = np.iinfo(dtype).max
+        cached = np.ascontiguousarray(
+            family.hash_values(codes).T, dtype=_narrow_dtype(family.universe_size)
+        )
         object.__setattr__(family, "_hash_table_t", cached)
+    return cached
+
+
+def _head_ranks(family: UniversalHashFamily) -> tuple[np.ndarray, np.ndarray]:
+    """The first :data:`_HEAD_RANKS` codes of each hash function's value
+    order and their values, both ``(num_hashes, depth)``.
+
+    ``codes[i]`` holds codes whose values under hash i are the smallest in
+    the universe, in ascending value order, so ``values[i]`` is sorted.
+    Which of several equal-valued codes make the cut does not matter to
+    the probe.  Cached on the family next to its hash table.
+    """
+    cached = getattr(family, "_head_ranks", None)
+    if cached is None:
+        by_hash = _hash_table_t(family).T
+        depth = min(_HEAD_RANKS, by_hash.shape[1])
+        head = np.argpartition(by_hash, depth - 1, axis=1)[:, :depth]
+        values = np.take_along_axis(by_hash, head, axis=1)
+        order = np.argsort(values, axis=1, kind="stable")
+        cached = (
+            np.take_along_axis(head, order, axis=1),
+            np.take_along_axis(values, order, axis=1),
+        )
+        object.__setattr__(family, "_head_ranks", cached)
     return cached
 
 

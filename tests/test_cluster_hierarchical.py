@@ -143,6 +143,21 @@ class TestBuildDendrogram:
         tolerated[n - 1, 3] += 5e-9
         assert len(build_dendrogram(tolerated, stop_threshold=0.9)) > 0
 
+    def test_near_symmetric_accepted_through_allclose(self):
+        """A band that is not exactly symmetric still passes when it is
+        symmetric to within allclose's tolerance (float noise such as
+        an average of the two triangles computed in different orders)."""
+        sim = quantised_similarity(60, 7)
+        noisy = sim + np.triu(np.full_like(sim, 1e-12), 1)
+        assert not np.array_equal(noisy, noisy.T)
+        assert len(build_dendrogram(noisy, stop_threshold=0.5)) > 0
+
+    def test_asymmetry_beyond_tolerance_rejected(self):
+        sim = quantised_similarity(60, 7)
+        sim[10, 40] += 1e-6
+        with pytest.raises(ClusteringError, match="symmetric"):
+            build_dendrogram(sim)
+
 
 #: sha256 of build_dendrogram's step list over quantised_similarity at
 #: (seed, n) = (0, 40), (1, 100), (2, 200), recorded before the merge loop

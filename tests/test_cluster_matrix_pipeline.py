@@ -8,33 +8,104 @@ from repro.cluster.matrix import compute_similarity_matrix, similarity_band_job
 from repro.cluster.pipeline import MrMCMinH
 from repro.mapreduce.hdfs import SimulatedHDFS
 from repro.mapreduce.local import MultiprocessRunner
+from repro.mapreduce.runner import SerialRunner
+from repro.mapreduce.types import JobConf
 from repro.minhash.similarity import pairwise_similarity_matrix
+from repro.minhash.sketch import MinHashSketch
 from repro.seq.records import SequenceRecord
+
+
+def sketches_from_values(values):
+    """Sketches with hand-picked values, all from one (nominal) family."""
+    values = np.asarray(values, dtype=np.int64)
+    key = (values.shape[1], 1 << 20, 0)
+    return [
+        MinHashSketch(read_id=f"s{i}", values=row, family_key=key)
+        for i, row in enumerate(values)
+    ]
+
+
+def random_values(rng, rows, num_hashes, kind):
+    """Tie-heavy sketch values: small, negative, or equal in the low bits."""
+    if kind == "small":
+        return rng.integers(0, 5, (rows, num_hashes))
+    if kind == "negative":
+        return rng.integers(-3, 3, (rows, num_hashes))
+    # Values that agree in their low 8 bits and differ only above them.
+    return rng.integers(0, 3, (rows, num_hashes)) << 8 | 7
 
 
 class TestSimilarityJob:
     def test_matches_direct_computation(self, two_family_sketches):
         direct = pairwise_similarity_matrix(two_family_sketches)
         via_job, result = compute_similarity_matrix(two_family_sketches, num_tasks=3)
-        assert np.allclose(direct, via_job)
+        assert via_job.tobytes() == direct.tobytes()
         assert result.trace is not None
         assert len(result.trace.map_tasks) == 3
 
     def test_single_task(self, two_family_sketches):
         direct = pairwise_similarity_matrix(two_family_sketches)
         via_job, _ = compute_similarity_matrix(two_family_sketches, num_tasks=1)
-        assert np.allclose(direct, via_job)
+        assert via_job.tobytes() == direct.tobytes()
 
     def test_more_tasks_than_rows(self, two_family_sketches):
         via_job, _ = compute_similarity_matrix(two_family_sketches, num_tasks=999)
         assert via_job.shape == (len(two_family_sketches),) * 2
+        assert via_job.tobytes() == pairwise_similarity_matrix(
+            two_family_sketches
+        ).tobytes()
 
     def test_set_estimator(self, two_family_sketches):
         direct = pairwise_similarity_matrix(two_family_sketches, estimator="set")
         via_job, _ = compute_similarity_matrix(
             two_family_sketches, estimator="set", num_tasks=2
         )
-        assert np.allclose(direct, via_job)
+        assert via_job.tobytes() == direct.tobytes()
+
+    @pytest.mark.parametrize("num_hashes", [1, 255, 256, 300])
+    @pytest.mark.parametrize("kind", ["small", "negative", "high_bits"])
+    @pytest.mark.parametrize("estimator", ["positional", "set"])
+    def test_driver_division_is_byte_identical(self, num_hashes, kind, estimator):
+        """Positional bands travel as match counts and are divided by n on
+        the driver; the matrix must equal the in-process one byte for byte
+        (and, for the positional estimator, the per-pair np.mean)."""
+        rng = np.random.default_rng(num_hashes)
+        values = random_values(rng, 23, num_hashes, kind)
+        sketches = sketches_from_values(values)
+        direct = pairwise_similarity_matrix(sketches, estimator=estimator)
+        via_job, _ = compute_similarity_matrix(
+            sketches, estimator=estimator, num_tasks=4
+        )
+        assert via_job.dtype == np.float64
+        assert via_job.tobytes() == direct.tobytes()
+        if estimator == "positional":
+            mean = np.array([[np.mean(a == b) for b in values] for a in values])
+            assert via_job.tobytes() == mean.tobytes()
+
+    @pytest.mark.parametrize("num_hashes", [1, 255, 256, 300])
+    def test_positional_band_job_emits_match_counts(self, num_hashes):
+        rng = np.random.default_rng(0)
+        values = random_values(rng, 10, num_hashes, "small")
+        sketches = sketches_from_values(values)
+        result = SerialRunner().run(
+            similarity_band_job(sketches),
+            [(0, (0, 4)), (1, (4, 10))],
+            JobConf(num_map_tasks=2, num_reduce_tasks=1, sort_output=True),
+        )
+        for start, band in result.output:
+            assert band.dtype == np.min_scalar_type(num_hashes)
+            assert band.dtype.kind == "u"
+            expected = (values[start : start + len(band), None] == values).sum(axis=2)
+            assert np.array_equal(band, expected)
+
+    def test_set_band_job_emits_floats(self, two_family_sketches):
+        result = SerialRunner().run(
+            similarity_band_job(two_family_sketches, estimator="set"),
+            [(0, (0, 3))],
+            JobConf(num_map_tasks=1, num_reduce_tasks=1),
+        )
+        [(_, band)] = result.output
+        assert band.dtype == np.float64
 
     def test_validation(self, two_family_sketches):
         with pytest.raises(ClusteringError):
