@@ -92,7 +92,13 @@ class _SketchBatchMapper:
 
     One :func:`~repro.minhash.sketch.sketch_values_batch` call sketches
     the entire split — byte-identical to looping :class:`_SketchMapper`
-    over it, including dropping reads that produce no k-mer.
+    over it, including dropping reads that produce no k-mer.  Reads are
+    validated like the per-record path without building a record per
+    read: only one that fails the cheap check (empty id, or a sequence
+    that is not a non-empty ``str``) goes through the
+    :class:`~repro.seq.records.SequenceRecord` constructor, which raises
+    the reference path's exception.  The kernel maps lower-case bases
+    like upper-case ones, so the upper-cased copy is never needed.
     """
 
     def __init__(self, config: SketchingConfig):
@@ -103,8 +109,8 @@ class _SketchBatchMapper:
         read_ids = []
         sequences = []
         for key, (read_id, sequence) in split:
-            # Validate exactly like the per-record path does.
-            SequenceRecord(read_id=read_id, sequence=sequence)
+            if not read_id or type(sequence) is not str or not sequence:
+                SequenceRecord(read_id=read_id, sequence=sequence)
             keys.append(key)
             read_ids.append(read_id)
             sequences.append(sequence)

@@ -5,13 +5,13 @@ import pytest
 
 from repro.errors import ClusteringError
 from repro.cluster.matrix import compute_similarity_matrix, similarity_band_job
-from repro.cluster.pipeline import MrMCMinH
+from repro.cluster.pipeline import MrMCMinH, _SketchBatchMapper, _SketchMapper
 from repro.mapreduce.hdfs import SimulatedHDFS
 from repro.mapreduce.local import MultiprocessRunner
 from repro.mapreduce.runner import SerialRunner
 from repro.mapreduce.types import JobConf
 from repro.minhash.similarity import pairwise_similarity_matrix
-from repro.minhash.sketch import MinHashSketch
+from repro.minhash.sketch import MinHashSketch, SketchingConfig
 from repro.seq.records import SequenceRecord
 
 
@@ -194,6 +194,89 @@ class TestMrMCMinHFit:
             runner=MultiprocessRunner(num_workers=2),
         ).fit(two_family_records)
         assert dict(serial.assignment) == dict(parallel.assignment)
+
+
+def _random_bases(rng, length):
+    return "".join(rng.choice(list("ACGT"), size=length))
+
+
+def _run_reference_mapper(config, split):
+    """The per-record sketch mapper looped over a split, as a map task
+    without a batch mapper would run it."""
+    mapper = _SketchMapper(config)
+    return [out for key, value in split for out in mapper(key, value)]
+
+
+def _valid_split():
+    """Readable reads of every kind the sketch job meets, plus the two a
+    task drops: an all-N read and one shorter than k."""
+    rng = np.random.default_rng(19)
+    dense = _random_bases(rng, 1000)  # probed at k=5 (>= 512 windows)
+    reads = [
+        ("dense", dense),
+        ("dense-lower", _random_bases(rng, 1000).lower()),
+        ("all-n", "N" * 40),
+        ("mixed-case", dense[:60].lower() + dense[60:120]),
+        ("short", "ACG"),
+        ("short-lower", _random_bases(rng, 30).lower()),
+        ("n-peppered", dense[:500] + "nN" + dense[502:]),
+    ]
+    return [(i, value) for i, value in enumerate(reads)]
+
+
+#: Reads the reference path rejects, each spliced into the valid split
+#: at the given position.
+_INVALID = [
+    pytest.param(2, ("", "ACGTACGTAC"), id="empty-id"),
+    pytest.param(0, (None, "ACGTACGTAC"), id="none-id"),
+    pytest.param(3, ("empty", ""), id="empty-sequence"),
+    pytest.param(7, ("none", None), id="none-sequence"),
+    pytest.param(1, ("int", 12345), id="int-sequence"),
+    pytest.param(4, ("list", ["A", "C", "G", "T", "A"]), id="list-sequence"),
+    pytest.param(2, ("", None), id="empty-id-and-sequence"),
+]
+
+
+class TestSketchMappers:
+    """The batch sketch mapper that map tasks run validates, drops and
+    sketches like the per-record reference mapper."""
+
+    config = SketchingConfig(kmer_size=5, num_hashes=100, seed=0)
+
+    def test_valid_split_matches_reference(self):
+        split = _valid_split()
+        expected = _run_reference_mapper(self.config, split)
+        got = _SketchBatchMapper(self.config)(split)
+        assert [key for key, _ in got] == [key for key, _ in expected]
+        assert [s.read_id for _, s in expected] == [
+            "dense", "dense-lower", "mixed-case", "short-lower", "n-peppered"
+        ]
+        for (_, g), (_, e) in zip(got, expected):
+            assert g.read_id == e.read_id
+            assert g.family_key == e.family_key
+            assert g.values.dtype == e.values.dtype
+            assert g.values.tobytes() == e.values.tobytes()
+
+    @pytest.mark.parametrize("position,value", _INVALID)
+    def test_invalid_read_raises_like_reference(self, position, value):
+        split = _valid_split()
+        split.insert(position, (100, value))
+        with pytest.raises(Exception) as reference:
+            _run_reference_mapper(self.config, split)
+        with pytest.raises(Exception) as batch:
+            _SketchBatchMapper(self.config)(split)
+        assert type(batch.value) is type(reference.value)
+        assert str(batch.value) == str(reference.value)
+
+    def test_first_invalid_read_decides_the_error(self):
+        split = _valid_split()
+        split[1:1] = [(100, ("late", "")), (101, ("", "ACGTACGTAC"))]
+        split.insert(1, (102, ("early", 7)))
+        with pytest.raises(AttributeError, match="'int' object") as reference:
+            _run_reference_mapper(self.config, split)
+        with pytest.raises(AttributeError) as batch:
+            _SketchBatchMapper(self.config)(split)
+        assert str(batch.value) == str(reference.value)
 
 
 class TestHdfsRoundTrip:
