@@ -106,8 +106,7 @@ def measure(
         p["threshold"],
         method="hierarchical",
         max_group=p["max_group"],
-        num_map_tasks=8,
-        num_reduce_tasks=8,
+        num_tasks=8,
     )
     engine_seconds = time.perf_counter() - t0
 

@@ -88,8 +88,7 @@ def measure(
         p["threshold"],
         method="hierarchical",
         max_group=p["max_group"],
-        num_map_tasks=8,
-        num_reduce_tasks=8,
+        num_tasks=8,
         stream=True,
         spill_threshold_bytes=spill_threshold_bytes,
     )
@@ -150,8 +149,7 @@ def measure(
             p["threshold"],
             method="hierarchical",
             max_group=p["max_group"],
-            num_map_tasks=8,
-            num_reduce_tasks=8,
+            num_tasks=8,
         )
         result["spilled_matches_unspilled"] = (
             run.assignment.to_tsv() == base.assignment.to_tsv()

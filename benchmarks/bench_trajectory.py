@@ -248,21 +248,19 @@ def collect(
     candidates_ms = _best_of(rounds, lambda: candidate_pair_arrays(sketches))
 
     # -- the same join as a two-job MapReduce chain (sparse_jobs) ---------
-    from repro.cluster.sparse import candidate_pairs
-    from repro.cluster.sparse_jobs import engine_candidate_pairs
+    from repro.cluster.sparse import candidate_pairs, sparse_single_linkage
+    from repro.cluster.sparse_jobs import run_sparse_jobs
 
-    engine_ms = _best_of(rounds, lambda: engine_candidate_pairs(sketches))
-    engine_pairs, engine_run = engine_candidate_pairs(sketches)
+    engine_ms = _best_of(rounds, lambda: run_sparse_jobs(sketches))
+    engine_run = run_sparse_jobs(sketches)
+    engine_pairs = engine_run.pairs
     if engine_pairs != candidate_pairs(sketches):
         raise AssertionError(
             "engine-sparse candidate pairs diverged from the in-process join"
         )
 
     # -- pigeonhole banding: fewer candidates, the same edges -------------
-    from repro.cluster.sparse_jobs import engine_sparse_cluster
-
-    mem_cluster = engine_sparse_cluster(sketches, w["threshold"])
-    band1_cluster = engine_sparse_cluster(sketches, w["threshold"], band_size=1)
+    mem_cluster = run_sparse_jobs(sketches, w["threshold"])
     ii, jj, _ = candidate_pair_arrays(sketches)
     matrix = sketch_matrix(sketches)
     hits = (
@@ -272,21 +270,20 @@ def collect(
     positional_edges = set(zip(ii[hits].tolist(), jj[hits].tolist()))
     if (
         set(mem_cluster.edges) != positional_edges
-        or mem_cluster.assignment.to_tsv() != band1_cluster.assignment.to_tsv()
+        or mem_cluster.assignment.to_tsv()
+        != sparse_single_linkage(sketches, w["threshold"]).to_tsv()
     ):
         raise AssertionError(
             "pigeonhole-banded chain diverged from the exact positional edges"
         )
 
     # -- spilled + streamed vs in-memory parity (external shuffle) --------
-    spilled_pairs, spill_run = engine_candidate_pairs(
-        sketches, spill_threshold_bytes=0
-    )
-    spill_cluster = engine_sparse_cluster(
+    spill_run = run_sparse_jobs(sketches, spill_threshold_bytes=0)
+    spill_cluster = run_sparse_jobs(
         sketches, w["threshold"], stream=True, spill_threshold_bytes=0
     )
     spill_parity = int(
-        spilled_pairs == engine_pairs
+        spill_run.pairs == engine_pairs
         and spill_cluster.assignment.to_tsv() == mem_cluster.assignment.to_tsv()
         and spill_cluster.candidate_pair_count == len(mem_cluster.pairs)
     )

@@ -28,6 +28,7 @@ import sys
 from repro.bench.harness import ExperimentScale
 from repro.cluster.pipeline import METHODS, SPARSE_AUTO_CUTOFF, MrMCMinH
 from repro.cluster.hierarchical import LINKAGES
+from repro.errors import ClusterConfigError
 from repro.eval.diversity import (
     chao1,
     goods_coverage,
@@ -52,7 +53,8 @@ def _add_pipeline_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--engine-sparse", action="store_true",
-        help="force the LSH candidate-generation MapReduce job chain "
+        help="force the LSH candidate-generation MapReduce job chain; "
+        "needs --linkage single or --method greedy "
         "(default: auto — only hierarchical --linkage single runs with "
         f"--threshold > 0 switch to the chain, from {SPARSE_AUTO_CUTOFF} "
         "sequences on; every other run stays dense)",
@@ -136,13 +138,12 @@ def cmd_cluster(args) -> int:
             f"{stats['shuffle_bytes']} shuffle bytes",
             file=sys.stderr,
         )
-        if stats.get("streamed"):
-            print(
-                f"# streamed: {stats.get('edges', 0)} edges fed incrementally, "
-                f"{stats.get('spill_segments', 0)} spill segment(s), "
-                f"{stats.get('spill_bytes', 0)} spill bytes",
-                file=sys.stderr,
-            )
+        print(
+            f"# streamed: {stats['edges']} edges fed incrementally, "
+            f"{stats['spill_segments']} spill segment(s), "
+            f"{stats['spill_bytes']} spill bytes",
+            file=sys.stderr,
+        )
     return 0
 
 
@@ -511,6 +512,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except ClusterConfigError as exc:
+        # A rejected configuration is a usage error, reported like
+        # argparse's own: one line on stderr and exit code 2.
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # Downstream consumer (e.g. `repro obs report ... | head`) closed
         # the pipe; exit quietly like standard unix tools.

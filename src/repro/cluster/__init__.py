@@ -36,12 +36,7 @@ from repro.cluster.sparse import (
     sparse_greedy_cluster,
     sparse_single_linkage,
 )
-from repro.cluster.sparse_jobs import (
-    SparseEngineRun,
-    engine_candidate_pairs,
-    engine_sparse_cluster,
-    run_sparse_jobs,
-)
+from repro.cluster.sparse_jobs import SparseEngineRun, run_sparse_jobs
 from repro.cluster.denoise import rescue_small_clusters
 from repro.cluster.classify import (
     Classification,
@@ -74,8 +69,6 @@ __all__ = [
     "sparse_single_linkage",
     "sparse_greedy_cluster",
     "SparseEngineRun",
-    "engine_candidate_pairs",
-    "engine_sparse_cluster",
     "run_sparse_jobs",
     "rescue_small_clusters",
     "Classification",

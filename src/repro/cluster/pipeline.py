@@ -406,15 +406,14 @@ class MrMCMinH:
         sparse_stats: dict | None = None
         mode = self._resolve_mode(len(sketches))
         if mode == "engine":
-            from repro.cluster.sparse_jobs import engine_sparse_cluster
+            from repro.cluster.sparse_jobs import run_sparse_jobs
 
-            engine_run = engine_sparse_cluster(
+            engine_run = run_sparse_jobs(
                 sketches,
                 theta,
                 method=self.method,
                 runner=self.runner,
-                num_map_tasks=self.num_map_tasks,
-                num_reduce_tasks=self.num_map_tasks,
+                num_tasks=self.num_map_tasks,
                 stream=True,
                 spill_threshold_bytes=self.spill_threshold_bytes,
             )
@@ -435,7 +434,6 @@ class MrMCMinH:
                 "edges": engine_run.edge_count,
                 "rounds": engine_run.rounds,
                 "shuffle_bytes": engine_run.shuffle_bytes,
-                "streamed": engine_run.streamed,
                 "spill_segments": engine_run.counters.get(
                     "shuffle", "spill_segments"
                 ),

@@ -12,11 +12,15 @@ This module is not a pipeline path: :class:`~repro.cluster.pipeline.MrMCMinH`
 runs that grouping as the MapReduce chain in
 :mod:`repro.cluster.sparse_jobs`.  What lives here is the in-process
 reference the chain, the tests and the benchmarks compare against, and
-the edge-stream clusterers (:func:`make_edge_stream`) the chain feeds:
+the edge-stream clusterers (:func:`make_edge_stream`) the chain's verify
+sink feeds.  The references group like the chain run without a threshold
+(one band per position), so that run's candidate pairs equal
+:func:`candidate_pairs`; with a threshold the chain's wider pigeonhole
+bands find a subset of those pairs and the same edges:
 
-* :func:`candidate_pairs` — all pairs colliding in >= ``min_shared``
-  sketch components with their collision counts (a count over n
-  components is the positional match count), found by grouping;
+* :func:`candidate_pairs` — all pairs colliding in at least one sketch
+  component with their collision counts (a count over n components is
+  the positional match count), found by grouping;
 * :func:`sparse_single_linkage` — exact single-linkage clustering at
   threshold θ over the candidate graph (a pair with zero collisions has
   estimated similarity 0, so no merge at θ > 0 is ever missed);
@@ -41,7 +45,6 @@ from repro.minhash.sketch import MinHashSketch, sketch_matrix
 def candidate_pair_arrays(
     sketches: Sequence[MinHashSketch],
     *,
-    min_shared: int = 1,
     max_group: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorised collision-candidate enumeration.
@@ -59,8 +62,6 @@ def candidate_pair_arrays(
     """
     if not sketches:
         raise ClusteringError("no sketches to index")
-    if min_shared < 1:
-        raise ClusteringError(f"min_shared must be >= 1, got {min_shared}")
     matrix = sketch_matrix(sketches)  # validates family compatibility
     n, n_hashes = matrix.shape
     empty = np.empty(0, dtype=np.int64)
@@ -95,25 +96,18 @@ def candidate_pair_arrays(
     if not keys_per_hash:
         return empty, empty, empty
     keys, collisions = np.unique(np.concatenate(keys_per_hash), return_counts=True)
-    if min_shared > 1:
-        mask = collisions >= min_shared
-        keys = keys[mask]
-        collisions = collisions[mask]
     return keys // n, keys % n, collisions.astype(np.int64)
 
 
 def candidate_pairs(
     sketches: Sequence[MinHashSketch],
     *,
-    min_shared: int = 1,
     max_group: int | None = None,
 ) -> dict[tuple[int, int], int]:
     """Collision-candidate pairs with their collision counts.
 
     Parameters
     ----------
-    min_shared:
-        Keep only pairs colliding in at least this many components.
     max_group:
         Skip collision groups larger than this (a degenerate value shared
         by everything generates quadratically many candidates — Hadoop
@@ -123,9 +117,7 @@ def candidate_pairs(
     -------
     ``{(i, j): collisions}`` with ``i < j`` over sketch indices.
     """
-    ii, jj, collisions = candidate_pair_arrays(
-        sketches, min_shared=min_shared, max_group=max_group
-    )
+    ii, jj, collisions = candidate_pair_arrays(sketches, max_group=max_group)
     return {
         (int(i), int(j)): int(c)
         for i, j, c in zip(ii.tolist(), jj.tolist(), collisions.tolist())

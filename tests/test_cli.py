@@ -58,6 +58,25 @@ class TestClusterCommand:
         assert code == 0
 
 
+class TestConfigErrors:
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--engine-sparse"], "exact only for single linkage"),
+            (["--threshold", "1.5"], "threshold must be in [0,1], got 1.5"),
+        ],
+    )
+    def test_rejected_configuration_is_a_usage_error(
+        self, fasta_path, capsys, extra, message
+    ):
+        code = main(["cluster", fasta_path, "--hashes", "32", *extra])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ")
+        assert message in err
+        assert "Traceback" not in err
+
+
 class TestDiversityCommand:
     def test_report(self, fasta_path, capsys):
         code = main(["diversity", fasta_path, "--hashes", "32", "--threshold", "0.78"])

@@ -45,11 +45,6 @@ class TestCandidatePairs:
         assert (0, 2) not in pairs
         assert (1, 2) not in pairs
 
-    def test_min_shared_filter(self):
-        sketches = make_sketches([[1, 2, 3, 4], [1, 9, 9, 9]])
-        assert (0, 1) in candidate_pairs(sketches, min_shared=1)
-        assert (0, 1) not in candidate_pairs(sketches, min_shared=2)
-
     def test_max_group_caps_degenerate_values(self):
         # All sketches share component 0 -> group of 5 skipped at cap 4.
         rows = [[7, i, i + 1, i + 2] for i in range(0, 15, 3)]
@@ -62,8 +57,6 @@ class TestCandidatePairs:
     def test_validation(self):
         with pytest.raises(ClusteringError):
             candidate_pairs([])
-        with pytest.raises(ClusteringError):
-            candidate_pairs(make_sketches([[1, 2, 3, 4]]), min_shared=0)
 
     @given(sketch_sets())
     @settings(max_examples=50, deadline=None)

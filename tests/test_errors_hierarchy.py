@@ -146,11 +146,13 @@ class TestClusteringErrorTaxonomy:
 
     def test_catching_clustering_error_covers_the_sparse_family(self):
         from repro.cluster.sparse_jobs import run_sparse_jobs
+        from repro.minhash.sketch import sketches_from_matrix
 
         with pytest.raises(errors.ClusteringError):
             run_sparse_jobs([])
+        sketches = sketches_from_matrix([[0] * 4, [0] * 4], ["a", "b"], (4, 7, 0))
         with pytest.raises(errors.ClusteringError):
-            run_sparse_jobs([], band_size=0)
+            run_sparse_jobs(sketches, 1.5)
 
 
 class TestSchedulerPipelineIntegration:

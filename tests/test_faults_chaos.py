@@ -191,7 +191,6 @@ class TestEndToEndChaos:
 
         assert chaos_tsv == clean_tsv
         assert chaos_run.mode == "engine"
-        assert chaos_run.sparse_stats["streamed"] is True
         assert chaos_run.sparse_stats["spill_segments"] > 0
         # The bit-rot really struck spill files and was really repaired.
         corrupted = chaos_run.counters.get("fault", "spill_segments_corrupted")

@@ -82,6 +82,46 @@ class TestSparsePipeline:
         assert MrMCMinH(method="greedy", sparse=False).estimator == "set"
 
 
+# ------------------------------------------------------- b-bit engine path
+
+BBIT_SAMPLES = {
+    "16s": dict(kmer_size=15, num_hashes=50),
+    "wgs": dict(kmer_size=5, num_hashes=100),
+}
+
+EXACT_SHAPES = {
+    "greedy": dict(method="greedy", estimator="positional"),
+    "single": dict(method="hierarchical", linkage="single"),
+}
+
+
+@pytest.fixture(scope="module")
+def bbit_reads():
+    return {
+        "16s": generate_environmental_sample("53R", num_reads=200, seed=0),
+        "wgs": generate_whole_metagenome_sample("S1", num_reads=150),
+    }
+
+
+@pytest.mark.parametrize("sample_name", BBIT_SAMPLES)
+@pytest.mark.parametrize("shape", EXACT_SHAPES)
+@pytest.mark.parametrize("bits", [1, 2, 4])
+def test_bbit_engine_path_equals_dense(bbit_reads, sample_name, shape, bits):
+    # MrMCMinH(wire_bits=b) is the one b-bit route into the chain: it
+    # hands the chain low-bit sketches at effective_threshold(θ, b).
+    kwargs = dict(
+        BBIT_SAMPLES[sample_name], **EXACT_SHAPES[shape],
+        threshold=0.9, wire_bits=bits, seed=0,
+    )
+    reads = bbit_reads[sample_name]
+    dense = MrMCMinH(**kwargs, sparse=False).fit(reads)
+    engine = MrMCMinH(**kwargs, sparse="engine").fit(reads)
+    assert (dense.mode, engine.mode) == ("dense", "engine")
+    assert engine.assignment.to_tsv() == dense.assignment.to_tsv()
+    for run in (dense, engine):
+        assert all(int(s.values.max()) < 1 << bits for s in run.sketches)
+
+
 # ---------------------------------------------------------------- cutoff net
 
 NET_SAMPLES = {

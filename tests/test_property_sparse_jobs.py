@@ -13,10 +13,10 @@ changing a byte.
 
 The pigeonhole net plants near-duplicate rows (a copy with a few
 positions redrawn) so that many pairs sit just above and just below θ,
-and checks the default, threshold-derived banding finds exactly the
-brute-force positional edges — across both methods, full-precision and
-b-bit side data, in-memory and spill-everything shuffles, and the serial
-and pooled runners.
+and checks the threshold-derived banding finds exactly the brute-force
+positional edges — across both methods, full-precision sketches and the
+low-bit ones ``MrMCMinH(wire_bits=8)`` hands the chain, in-memory and
+spill-everything shuffles, and the serial and pooled runners.
 """
 
 import numpy as np
@@ -31,12 +31,7 @@ from repro.cluster.sparse import (
     sparse_greedy_cluster,
     sparse_single_linkage,
 )
-from repro.cluster.sparse_jobs import (
-    ENGINE_METHODS,
-    engine_candidate_pairs,
-    engine_sparse_cluster,
-    run_sparse_jobs,
-)
+from repro.cluster.sparse_jobs import ENGINE_METHODS, run_sparse_jobs
 from repro.mapreduce.local import MultiprocessRunner
 from repro.mapreduce.runner import SerialRunner
 from repro.minhash.sketch import sketches_from_matrix
@@ -102,17 +97,9 @@ def make_sketches(values):
 @given(values=matrices)
 def test_engine_pairs_exactly_equal_in_process_pairs(values):
     sketches = make_sketches(values)
-    pairs, run = engine_candidate_pairs(sketches)
-    assert pairs == candidate_pairs(sketches)
+    run = run_sparse_jobs(sketches)
+    assert run.pairs == candidate_pairs(sketches)
     assert run.rounds == 2
-
-
-@settings(max_examples=25, deadline=None)
-@given(values=matrices, min_shared=st.integers(1, 4))
-def test_engine_pairs_respect_min_shared(values, min_shared):
-    sketches = make_sketches(values)
-    pairs, _ = engine_candidate_pairs(sketches, min_shared=min_shared)
-    assert pairs == candidate_pairs(sketches, min_shared=min_shared)
 
 
 @settings(max_examples=30, deadline=None)
@@ -120,7 +107,7 @@ def test_engine_pairs_respect_min_shared(values, min_shared):
 def test_single_linkage_sparse_vs_engine_byte_identical(values, threshold):
     sketches = make_sketches(values)
     in_process = sparse_single_linkage(sketches, threshold)
-    engine = engine_sparse_cluster(sketches, threshold, method="hierarchical")
+    engine = run_sparse_jobs(sketches, threshold, method="hierarchical")
     assert in_process.to_tsv() == engine.assignment.to_tsv()
 
 
@@ -129,7 +116,7 @@ def test_single_linkage_sparse_vs_engine_byte_identical(values, threshold):
 def test_greedy_sparse_vs_engine_byte_identical(values, threshold):
     sketches = make_sketches(values)
     in_process = sparse_greedy_cluster(sketches, threshold)
-    engine = engine_sparse_cluster(sketches, threshold, method="greedy")
+    engine = run_sparse_jobs(sketches, threshold, method="greedy")
     assert in_process.to_tsv() == engine.assignment.to_tsv()
 
 
@@ -181,21 +168,24 @@ def positional_edges(values, theta):
 def test_pigeonhole_edges_equal_brute_force_and_band1_tsv(
     values, threshold, method, wire_bits, spill_threshold_bytes, pooled
 ):
-    sketches = make_sketches(values)
-    runner = MultiprocessRunner(2) if pooled else SerialRunner()
-    options = dict(
-        method=method,
-        runner=runner,
-        wire_bits=wire_bits,
-        spill_threshold_bytes=spill_threshold_bytes,
-    )
-    run = run_sparse_jobs(sketches, threshold, **options)
     if wire_bits is None:
         compared, theta = values, threshold
     else:
+        # What MrMCMinH(wire_bits=b) hands the chain.
         compared = values & ((1 << wire_bits) - 1)
         theta = effective_threshold(threshold, wire_bits)
+    sketches = make_sketches(compared)
+    run = run_sparse_jobs(
+        sketches,
+        theta,
+        method=method,
+        runner=MultiprocessRunner(2) if pooled else SerialRunner(),
+        spill_threshold_bytes=spill_threshold_bytes,
+    )
     assert set(run.edges) == positional_edges(compared, theta)
-    band1 = run_sparse_jobs(sketches, threshold, band_size=1, **options)
-    assert set(run.pairs) <= set(band1.pairs)
-    assert run.assignment.to_tsv() == band1.assignment.to_tsv()
+    # The in-process references group on every position, like width-1 bands.
+    assert set(run.pairs) <= set(candidate_pairs(sketches))
+    reference = (
+        sparse_single_linkage if method == "hierarchical" else sparse_greedy_cluster
+    )
+    assert run.assignment.to_tsv() == reference(sketches, theta).to_tsv()

@@ -14,13 +14,11 @@ from repro.cluster.sparse_jobs import (
     LshBandMapper,
     SketchSideData,
     band_bounds,
-    engine_candidate_pairs,
-    engine_sparse_cluster,
     max_mismatches,
     pigeonhole_bands,
     run_sparse_jobs,
 )
-from repro.errors import ClusteringError, SparseCompatibilityError
+from repro.errors import ClusteringError
 from repro.minhash.sketch import sketches_from_matrix
 from repro.minhash.wire import effective_threshold
 
@@ -36,27 +34,22 @@ def make_sketches(n=30, num_hashes=16, universe=12, seed=0):
 class TestCandidateParity:
     def test_pairs_equal_in_process_join(self):
         sketches = make_sketches()
-        pairs, run = engine_candidate_pairs(sketches)
-        assert pairs == candidate_pairs(sketches)
+        run = run_sparse_jobs(sketches)
+        assert run.pairs == candidate_pairs(sketches)
         assert run.rounds == 2
         assert run.shuffle_bytes > 0
 
     def test_max_group_cap_applied_identically(self):
         sketches = make_sketches(universe=4)  # big collision groups
-        pairs, _ = engine_candidate_pairs(sketches, max_group=8)
-        assert pairs == candidate_pairs(sketches, max_group=8)
-
-    def test_min_shared_filter(self):
-        sketches = make_sketches()
-        pairs, _ = engine_candidate_pairs(sketches, min_shared=3)
-        assert pairs == candidate_pairs(sketches, min_shared=3)
-        assert all(c >= 3 for c in pairs.values())
+        run = run_sparse_jobs(sketches, max_group=8)
+        assert run.pairs == candidate_pairs(sketches, max_group=8)
 
     def test_wider_bands_generate_a_subset(self):
-        sketches = make_sketches()
-        base, _ = engine_candidate_pairs(sketches)
-        banded, _ = engine_candidate_pairs(sketches, band_size=4)
-        assert set(banded) <= set(base)
+        # A threshold's pigeonhole bands are wider than one position.
+        sketches = make_sketches(universe=4)
+        base = run_sparse_jobs(sketches).pairs
+        banded = run_sparse_jobs(sketches, 0.5).pairs
+        assert banded and set(banded) < set(base)
 
     def test_verified_match_is_true_positional_fraction(self):
         sketches = make_sketches()
@@ -72,29 +65,15 @@ class TestClusteringParity:
     def test_single_linkage_byte_identical(self, threshold):
         sketches = make_sketches()
         a = sparse_single_linkage(sketches, threshold)
-        b = engine_sparse_cluster(sketches, threshold, method="hierarchical")
+        b = run_sparse_jobs(sketches, threshold, method="hierarchical")
         assert a.to_tsv() == b.assignment.to_tsv()
 
     @pytest.mark.parametrize("threshold", [0.125, 0.25, 0.5, 0.75])
     def test_greedy_byte_identical(self, threshold):
         sketches = make_sketches()
         a = sparse_greedy_cluster(sketches, threshold)
-        b = engine_sparse_cluster(sketches, threshold, method="greedy")
+        b = run_sparse_jobs(sketches, threshold, method="greedy")
         assert a.to_tsv() == b.assignment.to_tsv()
-
-    def test_wire_bits_thresholds_in_low_bit_space(self):
-        sketches = make_sketches(universe=200)
-        threshold = 0.5
-        run = run_sparse_jobs(
-            sketches, threshold, method="hierarchical", wire_bits=4
-        )
-        assert run.wire_bits == 4
-        theta_eff = effective_threshold(threshold, 4)
-        matrix = np.stack([s.values for s in sketches]) & 0xF
-        for pair in run.edges:
-            i, j = pair
-            match = np.count_nonzero(matrix[i] == matrix[j]) / matrix.shape[1]
-            assert match >= theta_eff
 
     def test_candidate_only_run_has_no_assignment(self):
         run = run_sparse_jobs(make_sketches())
@@ -161,48 +140,31 @@ class TestPigeonholeBands:
         sketches = make_sketches()
         assert run_sparse_jobs(sketches, 0.75).bands == pigeonhole_bands(16, 0.75)
         assert run_sparse_jobs(sketches).bands == band_bounds(16, 16)
-        run = run_sparse_jobs(sketches, 0.5, wire_bits=2)
-        assert run.bands == pigeonhole_bands(16, effective_threshold(0.5, 2))
 
     @pytest.mark.parametrize(
         "bits, threshold", [(2, 0.5), (1, 0.6), (2, 0.3)]
     )
-    @pytest.mark.parametrize("band_size", [None, 1])
-    def test_bbit_chain_finds_low_bit_only_edges(self, bits, threshold, band_size):
-        # Wide universe: full values rarely collide, low bits often do.
+    def test_bbit_chain_finds_low_bit_only_edges(self, bits, threshold):
+        # What MrMCMinH(wire_bits=bits) hands the chain: the low bits of
+        # wide-universe sketches, where full values rarely collide and
+        # low bits often do, at the b-bit threshold.
         rng = np.random.default_rng(bits * 10 + int(threshold * 10))
         values = rng.integers(0, 1 << 20, size=(60, 16)).astype(np.int64)
-        sketches = sketches_from_matrix(
-            values, [f"r{i}" for i in range(60)], (16, 1 << 30, 0)
-        )
-        run = run_sparse_jobs(
-            sketches, threshold, wire_bits=bits, band_size=band_size
-        )
         low = values & ((1 << bits) - 1)
-        expected = brute_force_edges(low, effective_threshold(threshold, bits))
+        sketches = sketches_from_matrix(
+            low, [f"r{i}" for i in range(60)], (16, 1 << bits, 0)
+        )
+        theta = effective_threshold(threshold, bits)
+        run = run_sparse_jobs(sketches, theta)
+        expected = brute_force_edges(low, theta)
         assert expected
         assert set(run.edges) == expected
 
 
 class TestValidation:
-    def test_min_shared_rejected_with_pigeonhole_bands(self):
-        with pytest.raises(SparseCompatibilityError, match="min_shared"):
-            run_sparse_jobs(make_sketches(), 0.5, min_shared=2)
-        # Fixed-width bands still filter on shared positions.
-        run = run_sparse_jobs(make_sketches(), 0.5, min_shared=2, band_size=1)
-        assert all(c >= 2 for c in run.pairs.values())
-
     def test_empty_sketches_rejected(self):
         with pytest.raises(ClusteringError, match="no sketches"):
             run_sparse_jobs([])
-
-    def test_band_size_must_divide_num_hashes(self):
-        with pytest.raises(SparseCompatibilityError, match="band_size"):
-            run_sparse_jobs(make_sketches(num_hashes=16), band_size=5)
-
-    def test_band_size_must_be_positive(self):
-        with pytest.raises(SparseCompatibilityError, match="band_size"):
-            run_sparse_jobs(make_sketches(), band_size=0)
 
     def test_threshold_range(self):
         with pytest.raises(ClusteringError, match="threshold"):
@@ -214,10 +176,6 @@ class TestValidation:
         with pytest.raises(ClusteringError, match="method"):
             run_sparse_jobs(make_sketches(), 0.5, method="kmeans")
 
-    def test_min_shared_validated(self):
-        with pytest.raises(ClusteringError, match="min_shared"):
-            run_sparse_jobs(make_sketches(), min_shared=0)
-
 
 class TestSideData:
     def test_full_precision_roundtrip(self):
@@ -225,19 +183,17 @@ class TestSideData:
         side = SketchSideData.pack(matrix)
         assert np.array_equal(side.matrix(), matrix)
 
-    def test_bbit_roundtrip_masks_low_bits(self):
-        matrix = np.arange(24, dtype=np.int64).reshape(4, 6) * 7
-        side = SketchSideData.pack(matrix, bits=4)
-        assert np.array_equal(side.matrix(), matrix & 0xF)
-
     def test_crc_detects_corruption(self):
         side = SketchSideData.pack(np.zeros((2, 2), dtype=np.int64))
         corrupt = SketchSideData(
-            payload=side.payload, crc=side.crc ^ 1,
-            num_records=2, num_hashes=2, bits=None,
+            payload=side.payload, crc=side.crc ^ 1, num_records=2, num_hashes=2
         )
         with pytest.raises(ClusteringError, match="CRC"):
             corrupt.matrix()
+
+    def test_pack_rejects_a_non_matrix(self):
+        with pytest.raises(ClusteringError, match="2-D"):
+            SketchSideData.pack(np.zeros(4, dtype=np.int64))
 
 
 class TestMapperSemantics:

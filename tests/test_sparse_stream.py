@@ -19,7 +19,7 @@ from repro.cluster.sparse import (
     make_edge_stream,
     single_linkage_from_edges,
 )
-from repro.cluster.sparse_jobs import engine_sparse_cluster, run_sparse_jobs
+from repro.cluster.sparse_jobs import run_sparse_jobs
 from repro.datasets.environmental import generate_environmental_sample
 from repro.errors import ClusteringError
 from repro.mapreduce.runner import SerialRunner
@@ -99,11 +99,11 @@ class _CountingRunner(SerialRunner):
 
 class TestStreamedEngineChain:
     def test_streamed_run_byte_identical_and_unmaterialized(self, sketches):
-        base = engine_sparse_cluster(
+        base = run_sparse_jobs(
             sketches, 0.8, method="hierarchical", max_group=64
         )
         runner = _CountingRunner()
-        streamed = engine_sparse_cluster(
+        streamed = run_sparse_jobs(
             sketches, 0.8, method="hierarchical", max_group=64,
             runner=runner, stream=True,
         )
@@ -121,17 +121,17 @@ class TestStreamedEngineChain:
         )
 
     def test_streamed_greedy_matches_collected(self, sketches):
-        base = engine_sparse_cluster(sketches, 0.8, method="greedy", max_group=64)
-        streamed = engine_sparse_cluster(
+        base = run_sparse_jobs(sketches, 0.8, method="greedy", max_group=64)
+        streamed = run_sparse_jobs(
             sketches, 0.8, method="greedy", max_group=64, stream=True
         )
         assert streamed.assignment.to_tsv() == base.assignment.to_tsv()
 
     def test_streamed_with_spilling_matches_in_memory(self, sketches):
-        base = engine_sparse_cluster(
+        base = run_sparse_jobs(
             sketches, 0.8, method="hierarchical", max_group=64
         )
-        spilled = engine_sparse_cluster(
+        spilled = run_sparse_jobs(
             sketches, 0.8, method="hierarchical", max_group=64,
             stream=True, spill_threshold_bytes=0,
         )
