@@ -105,7 +105,7 @@ def compute_similarity_matrix(
     result = runner.run(
         job,
         [(band_id, rng) for band_id, rng in bands],
-        JobConf(num_map_tasks=len(bands), num_reduce_tasks=1, sort_output=True),
+        JobConf(num_map_tasks=len(bands), num_reduce_tasks=1),
     )
     num_hashes = len(sketches[0])
     matrix = np.empty((n, n), dtype=np.float64)

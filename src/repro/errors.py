@@ -89,7 +89,7 @@ class FaultError(MapReduceError):
 
     Raised *inside* a task attempt by the fault-injection layer and by the
     runner's integrity checks; the runner catches it, records the attempt
-    failure, and retries up to ``JobConf.max_task_attempts``.
+    failure, and retries up to the runner's ``RetryPolicy.max_attempts``.
     """
 
     def __init__(self, message: str, *, task_id: str | None = None, attempt: int | None = None):

@@ -3,8 +3,8 @@
 The paper runs on Hadoop via Pig; this package provides the equivalent
 execution substrate in pure Python:
 
-* :mod:`repro.mapreduce.job` — job definitions (mapper/combiner/reducer/
-  partitioner) over ``(key, value)`` records;
+* :mod:`repro.mapreduce.job` — job definitions (mapper/combiner/reducer)
+  over ``(key, value)`` records, partitioned by ``stable_hash(key) % R``;
 * :mod:`repro.mapreduce.runner` — the one job driver, which also records
   a :class:`~repro.mapreduce.types.JobTrace` (task-level record and byte
   counts) for the cluster simulator, and the deterministic serial runner
@@ -31,7 +31,7 @@ from repro.errors import (
 from repro.mapreduce.types import JobConf, JobTrace, TaskTrace, stable_hash
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.job import MapReduceJob, identity_mapper, identity_reducer
-from repro.mapreduce.shuffle import default_partitioner, shuffle
+from repro.mapreduce.shuffle import shuffle
 from repro.mapreduce.cancel import CancelScope, check_cancelled, current_scope
 from repro.mapreduce.faults import (
     BlockBitRot,
@@ -102,7 +102,6 @@ __all__ = [
     "MapReduceJob",
     "identity_mapper",
     "identity_reducer",
-    "default_partitioner",
     "shuffle",
     "JobResult",
     "SerialRunner",

@@ -10,11 +10,11 @@ execution backends:
   hangs past its deadline, or returns a corrupted shuffle partition, and
   whether HDFS datanodes die at job barriers.  The same plan always
   injects the same faults, so chaos tests are reproducible bit-for-bit.
-* **Recovery** — a :class:`RetryPolicy` (usually derived from
-  :class:`~repro.mapreduce.types.JobConf`) drives per-task retry with
-  exponential backoff, timeout-based attempt abandonment and speculative
-  backup attempts; :class:`JobCheckpoint` persists completed task outputs
-  so a killed job resumes from the last barrier instead of starting over.
+* **Recovery** — a :class:`RetryPolicy`, set when the runner is built,
+  drives per-task retry with exponential backoff, timeout-based attempt
+  abandonment and speculative backup attempts; :class:`JobCheckpoint`
+  persists completed task outputs so a killed job resumes from the last
+  barrier instead of starting over.
 
 Corruption is *detected*, not assumed: every attempt ships a CRC32 of its
 output computed at production time, and the runner verifies it on receipt
@@ -117,7 +117,8 @@ class BlockBitRot:
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Recovery knobs for one job (normally read off ``JobConf``).
+    """Recovery knobs, set once as a runner's ``retry`` (the default, one
+    attempt, retries nothing).
 
     ``speculative_margin`` is the Hadoop-style multiplier: a running task
     becomes a speculation candidate once its runtime exceeds
@@ -157,16 +158,6 @@ class RetryPolicy:
             raise MapReduceError(f"backoff must be >= 0, got {self.backoff}")
         if not 0.0 <= self.jitter <= 1.0:
             raise MapReduceError(f"jitter must be in [0,1], got {self.jitter}")
-
-    @classmethod
-    def from_conf(cls, conf) -> "RetryPolicy":
-        """Policy implied by a :class:`~repro.mapreduce.types.JobConf`."""
-        return cls(
-            max_attempts=conf.max_task_attempts,
-            timeout=conf.task_timeout,
-            speculative_margin=conf.speculative_margin,
-            backoff=conf.retry_backoff,
-        )
 
     def backoff_delay(self, attempt: int) -> float:
         """Sleep before retry number ``attempt`` (1-based failed attempt)."""
@@ -388,12 +379,6 @@ class FaultPlan:
     # ---- injection helpers ------------------------------------------------
 
     @staticmethod
-    def raise_crash(fault: Fault, task_id: str, attempt: int) -> None:
-        raise FaultError(
-            fault.reason or "injected crash", task_id=task_id, attempt=attempt
-        )
-
-    @staticmethod
     def corrupt_records(records: list[tuple], origin: str) -> list[tuple]:
         """Deterministically mangle a task's output partition in transit."""
         corrupted = list(records)
@@ -503,9 +488,9 @@ class JobCheckpoint:
 
     One pickle file per task attempt that won, written atomically
     (tmp + rename).  Task ids embed the job name, so one checkpoint
-    directory safely covers a whole ``run_chain`` pipeline.  A job killed
-    mid-run re-executes only the tasks with no checkpoint entry; recovered
-    tasks are marked in the trace and counted under
+    directory safely covers every job of a multi-job pipeline.  A job
+    killed mid-run re-executes only the tasks with no checkpoint entry;
+    recovered tasks are marked in the trace and counted under
     ``fault:tasks_recovered_from_checkpoint``.
     """
 

@@ -1,12 +1,13 @@
 """Map-Reduce job definitions.
 
-A job is mapper + optional combiner + reducer + partitioner.  Signatures
-follow the classic Hadoop streaming contract:
+A job is mapper + optional combiner + reducer.  Signatures follow the
+classic Hadoop streaming contract:
 
 * ``mapper(key, value) -> iterable of (k2, v2)``
 * ``combiner(k2, values) -> iterable of (k2, v2)`` (same key domain)
 * ``reducer(k2, values) -> iterable of (k3, v3)``
-* ``partitioner(k2, num_partitions) -> int``
+
+Every ``k2`` goes to reduce partition ``stable_hash(k2) % R``.
 
 Mappers/reducers may optionally accept a keyword-only ``context`` (a
 :class:`~repro.mapreduce.counters.Counters` object) to emit counters; the
@@ -36,11 +37,9 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 from repro.errors import MapReduceError
-from repro.mapreduce.shuffle import default_partitioner
 
 Mapper = Callable[..., Iterable[tuple]]
 Reducer = Callable[..., Iterable[tuple]]
-Partitioner = Callable[[object, int], int]
 
 
 def identity_mapper(key, value):
@@ -70,7 +69,6 @@ class MapReduceJob:
     mapper: Mapper
     reducer: Reducer
     combiner: Reducer | None = None
-    partitioner: Partitioner = default_partitioner
     batch_mapper: Callable | None = None
     wire: object | None = None
     _mapper_ctx: bool = field(init=False, repr=False, compare=False, default=False)

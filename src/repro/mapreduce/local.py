@@ -15,11 +15,11 @@ recovery, counters and traces, and every attempt runs the same code as on
 the inline executor):
 
 * every task attempt is dispatched asynchronously and retried with
-  exponential backoff up to ``JobConf.max_task_attempts``;
-* attempts that exceed ``JobConf.task_timeout`` are abandoned (their
+  exponential backoff up to the runner's ``RetryPolicy.max_attempts``;
+* attempts that exceed ``RetryPolicy.timeout`` are abandoned (their
   late results are discarded — the in-memory analogue of killing the
   attempt) and re-executed;
-* with ``JobConf.speculative_margin > 0``, a task running longer than
+* with ``RetryPolicy.speculative_margin > 0``, a task running longer than
   ``margin x median(completed durations)`` gets a concurrent speculative
   backup attempt; the first result wins and the loser's output is
   discarded exactly once;

@@ -21,12 +21,12 @@ fault plan is set, a producer-side CRC32 of the output verified on
 receipt.
 
 Execution is fault tolerant: each task runs in an attempt loop driven by
-a :class:`~repro.mapreduce.faults.RetryPolicy` (derived from ``JobConf``
-unless overridden) — failed attempts are retried with exponential
-backoff, hung attempts are abandoned at the task deadline, stragglers get
-speculative backup attempts, and completed task outputs can be persisted
-to a :class:`~repro.mapreduce.faults.JobCheckpoint` so a killed job
-resumes from the last barrier.  Attempt history lands in the trace and in
+the runner's :class:`~repro.mapreduce.faults.RetryPolicy` — failed
+attempts are retried with exponential backoff, hung attempts are
+abandoned at the task deadline, stragglers get speculative backup
+attempts, and completed task outputs can be persisted to a
+:class:`~repro.mapreduce.faults.JobCheckpoint` so a killed job resumes
+from the last barrier.  Attempt history lands in the trace and in
 the ``fault`` counter group.
 
 When a :class:`~repro.obs.trace.Tracer` is active, execution also emits
@@ -504,7 +504,14 @@ class _InlineExecutor:
 
 
 class _JobDriver:
-    """The job skeleton both runners share; subclasses pick the executor."""
+    """The job skeleton both runners share; subclasses pick the executor.
+
+    Each :meth:`run` brings a job's shape (its ``JobConf``).  Execution
+    policy — ``fault_plan``, ``checkpoint`` and ``retry`` (default: one
+    attempt per task) — is set here once and applies to every job the
+    runner runs, including those a pipeline such as
+    :class:`~repro.cluster.pipeline.MrMCMinH` runs on it.
+    """
 
     def __init__(
         self,
@@ -517,7 +524,7 @@ class _JobDriver:
         self.trace = trace
         self.fault_plan = fault_plan
         self.checkpoint = checkpoint
-        self.retry = retry
+        self.retry = retry or RetryPolicy()
 
     def _job_attrs(self) -> dict:
         """Attributes of the ``job`` span naming the backend."""
@@ -534,22 +541,19 @@ class _JobDriver:
         inputs: Sequence[tuple],
         conf: JobConf | None = None,
         *,
-        fault_plan: FaultPlan | None = None,
-        checkpoint: JobCheckpoint | None = None,
-        retry: RetryPolicy | None = None,
         output_sink: Callable[[tuple], None] | None = None,
     ) -> JobResult:
         """Execute ``job`` over ``inputs`` (a sequence of key/value pairs).
 
-        With ``output_sink`` set, every reduce output record is fed to the
-        callback as its task completes instead of being accumulated (the
-        returned :class:`JobResult` has an empty ``output`` and
-        ``sort_output`` does not apply) — the streaming hand-off the
-        sparse candidate-edge path uses to avoid materializing the full
-        pair list in the driver.
+        The collected output is sorted by key.  With ``output_sink`` set,
+        every reduce output record is fed to the callback as its task
+        completes instead (in reduce-task order; the returned
+        :class:`JobResult` has an empty ``output``) — the streaming
+        hand-off the sparse candidate-edge path uses to avoid
+        materializing the full pair list in the driver.
         """
         conf = conf or JobConf()
-        plan = fault_plan if fault_plan is not None else self.fault_plan
+        plan = self.fault_plan
         counters = Counters()
         trace = JobTrace(job_name=job.name) if self.trace else None
         run = _JobRun(
@@ -557,8 +561,8 @@ class _JobDriver:
             inputs,
             conf,
             plan=plan,
-            policy=retry or self.retry or RetryPolicy.from_conf(conf),
-            checkpoint=checkpoint if checkpoint is not None else self.checkpoint,
+            policy=self.retry,
+            checkpoint=self.checkpoint,
             counters=counters,
             measure_bytes=self.trace,
         )
@@ -595,7 +599,6 @@ class _JobDriver:
                     if conf.spill_threshold_bytes is not None:
                         spill = SpillingShuffle(
                             conf.num_reduce_tasks,
-                            job.partitioner,
                             spill_threshold_bytes=conf.spill_threshold_bytes,
                             job_name=job.name,
                             fault_plan=plan,
@@ -607,9 +610,7 @@ class _JobDriver:
                         shuffle_span.attrs["spill_segments"] = spill.spill_segments
                         shuffle_span.attrs["spill_bytes"] = spill.spill_bytes
                     else:
-                        partitions, moved = shuffle(
-                            map_outputs, conf.num_reduce_tasks, job.partitioner
-                        )
+                        partitions, moved = shuffle(map_outputs, conf.num_reduce_tasks)
                     counters.increment("job", "shuffle_records", moved)
                     if trace is not None and job.wire is None:
                         trace.shuffle_bytes = sum(
@@ -644,7 +645,7 @@ class _JobDriver:
                 job_span.attrs["shuffle_bytes"] = counters.get("wire", "bytes_wire")
             tracer.metrics.record_counters(counters)
 
-        if conf.sort_output and output_sink is None:
+        if output_sink is None:
             # Shares shuffle.sort_records so the mixed-type fallback
             # ordering cannot drift from the shuffle's grouping order.
             output = sort_records(output)
@@ -694,35 +695,4 @@ class SerialRunner(_JobDriver):
 
     ``trace=True`` (default) records task-level statistics; turn it off for
     micro-benchmarks where the byte-size sampling overhead matters.
-
-    ``fault_plan``, ``checkpoint`` and ``retry`` set instance-wide defaults
-    so callers that only hand a runner to a pipeline (e.g.
-    :class:`~repro.cluster.pipeline.MrMCMinH`) still get fault-tolerant
-    execution; per-call keyword arguments to :meth:`run` override them.
     """
-
-    def run_chain(
-        self,
-        jobs: Sequence[tuple[MapReduceJob, JobConf | None]],
-        inputs: Sequence[tuple],
-    ) -> tuple[JobResult, list[JobTrace]]:
-        """Run a pipeline of jobs, feeding each job's output to the next.
-
-        Returns the final result and the traces of every stage (the unit
-        the cluster simulator schedules).  Instance-level fault plan and
-        checkpoint apply to every stage; task ids embed the job name, so
-        one checkpoint directory covers the whole chain.
-        """
-        if not jobs:
-            raise MapReduceError("run_chain requires at least one job")
-        traces: list[JobTrace] = []
-        current: Sequence[tuple] = inputs
-        result: JobResult | None = None
-        with current_tracer().span("chain", kind="chain", jobs=len(jobs)):
-            for job, conf in jobs:
-                result = self.run(job, list(current), conf)
-                if result.trace is not None:
-                    traces.append(result.trace)
-                current = result.output
-        assert result is not None
-        return result, traces

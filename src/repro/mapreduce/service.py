@@ -196,7 +196,7 @@ def failing_spec(name: str = "doomed") -> MapReduceSpec:
     return MapReduceSpec(
         job=job,
         inputs=(("k", name),),
-        conf=JobConf(num_map_tasks=1, num_reduce_tasks=1, max_task_attempts=1),
+        conf=JobConf(num_map_tasks=1, num_reduce_tasks=1),
     )
 
 

@@ -1,11 +1,14 @@
 """The shuffle: partitioning, sorting and grouping of map output.
 
 This reproduces the Hadoop contract: every intermediate ``(k2, v2)`` pair
-is routed to partition ``partitioner(k2, R)``; within each partition keys
-arrive at the reducer in sorted order with all their values grouped.  Keys
-must therefore be orderable within a job; mixed-type keys fall back to a
-``(type-name, repr)`` ordering so the engine never crashes on heterogenous
-keys (matching Hadoop's byte-comparator behaviour of "some total order").
+is routed to partition ``stable_hash(k2) % R`` (Hadoop's default
+``HashPartitioner``; ``stable_hash`` is looked up as this module's global
+on every record, so a wrapper installed here sees each routed key);
+within each partition keys arrive at the reducer in sorted order with all
+their values grouped.  Keys must therefore be orderable within a job;
+mixed-type keys fall back to a ``(type-name, repr)`` ordering so the
+engine never crashes on heterogenous keys (matching Hadoop's
+byte-comparator behaviour of "some total order").
 
 Two implementations share that contract:
 
@@ -44,11 +47,6 @@ from repro.mapreduce.types import stable_hash
 from repro.obs.trace import current_tracer
 
 
-def default_partitioner(key: object, num_partitions: int) -> int:
-    """Hash partitioner: ``stable_hash(key) % num_partitions``."""
-    return stable_hash(key) % num_partitions
-
-
 def _sort_key(key: object):
     return (type(key).__name__, repr(key))
 
@@ -84,15 +82,13 @@ def sort_run(records: Iterable[tuple]) -> tuple[list[tuple], bool]:
 def sort_records(records: Iterable[tuple]) -> list[tuple]:
     """Sort ``(key, value)`` records by key, sharing the exact ordering
     rule of :func:`sort_grouped_keys` (natural order, ``_sort_key``
-    fallback on mixed types).  The runners' ``conf.sort_output`` path
-    routes through here so the two orderings cannot drift."""
+    fallback on mixed types).  The driver sorts collected job output
+    through here so the two orderings cannot drift."""
     return sort_run(records)[0]
 
 
 def shuffle(
-    map_outputs: Iterable[Iterable[tuple]],
-    num_partitions: int,
-    partitioner=default_partitioner,
+    map_outputs: Iterable[Iterable[tuple]], num_partitions: int
 ) -> tuple[list[list[tuple[object, list]]], int]:
     """Route map outputs into grouped, sorted reduce partitions.
 
@@ -102,8 +98,6 @@ def shuffle(
         One iterable of ``(k2, v2)`` pairs per map task.
     num_partitions:
         Number of reduce partitions ``R``.
-    partitioner:
-        ``(key, R) -> partition index`` in ``[0, R)``.
 
     Returns
     -------
@@ -124,13 +118,7 @@ def shuffle(
                 raise MapReduceError(
                     f"map output record {pair!r} is not a (key, value) pair"
                 ) from None
-            part = partitioner(key, num_partitions)
-            if not 0 <= part < num_partitions:
-                raise MapReduceError(
-                    f"partitioner returned {part} for key {key!r}; "
-                    f"must be in [0, {num_partitions})"
-                )
-            buckets[part][key].append(value)
+            buckets[stable_hash(key) % num_partitions][key].append(value)
             moved += 1
     partitions: list[list[tuple[object, list]]] = []
     for bucket in buckets:
@@ -316,6 +304,9 @@ class SpilledPartition:
 
 # --------------------------------------------------------- spilling shuffle
 
+# Write attempts per spill segment before unrepairable bit-rot fails the job.
+MAX_SPILL_ATTEMPTS = 4
+
 
 class SpillingShuffle:
     """External-memory shuffle: buffer, sort, spill, merge.
@@ -329,28 +320,26 @@ class SpillingShuffle:
     retained map output, mirroring the corrupted-partition retry) and
     returns lazily-merged :class:`SpilledPartition` views plus the moved
     record count — the same ``(partitions, shuffle_records)`` contract as
-    :func:`shuffle`.  Call :meth:`close` (or use as a context manager)
-    after the reduce phase to remove the spill directory.
+    :func:`shuffle`.  Segments live in a fresh directory under
+    ``tempfile``'s temp dir (``TMPDIR``); call :meth:`close` (or use as a
+    context manager) after the reduce phase to remove it.
 
     With a ``fault_plan`` whose ``spill_corrupt_rate`` is positive,
     segment writes suffer deterministic bit-rot (payload byte flipped
     after the clean CRC is computed); the verification pass in
     :meth:`finish` catches the mismatch, counts it under
     ``fault:spill_segments_corrupted`` and re-spills with an incremented
-    write attempt.
+    write attempt, up to :data:`MAX_SPILL_ATTEMPTS` writes per segment.
     """
 
     def __init__(
         self,
         num_partitions: int,
-        partitioner=default_partitioner,
         *,
         spill_threshold_bytes: int = 0,
-        spill_dir: str | None = None,
         job_name: str = "job",
         fault_plan=None,
         counters=None,
-        max_spill_attempts: int = 4,
     ):
         if num_partitions < 1:
             raise MapReduceError(
@@ -360,18 +349,11 @@ class SpillingShuffle:
             raise MapReduceError(
                 f"spill_threshold_bytes must be >= 0, got {spill_threshold_bytes}"
             )
-        if max_spill_attempts < 1:
-            raise MapReduceError(
-                f"max_spill_attempts must be >= 1, got {max_spill_attempts}"
-            )
         self.num_partitions = num_partitions
-        self.partitioner = partitioner
         self.spill_threshold_bytes = spill_threshold_bytes
         self.job_name = job_name
         self.fault_plan = fault_plan
         self.counters = counters
-        self.max_spill_attempts = max_spill_attempts
-        self._spill_dir_base = spill_dir
         self._dir: str | None = None
         self._buffers: list[list[tuple]] = [[] for _ in range(num_partitions)]
         self._buffer_start = [0] * num_partitions  # arrival seq of buffer head
@@ -403,12 +385,7 @@ class SpillingShuffle:
                 raise MapReduceError(
                     f"map output record {pair!r} is not a (key, value) pair"
                 ) from None
-            part = self.partitioner(key, self.num_partitions)
-            if not 0 <= part < self.num_partitions:
-                raise MapReduceError(
-                    f"partitioner returned {part} for key {key!r}; "
-                    f"must be in [0, {self.num_partitions})"
-                )
+            part = stable_hash(key) % self.num_partitions
             self._buffers[part].append((key, value))
             self._seq[part] += 1
             touched.add(part)
@@ -421,9 +398,7 @@ class SpillingShuffle:
 
     def _spill_path(self, part: int, index: int) -> str:
         if self._dir is None:
-            self._dir = tempfile.mkdtemp(
-                prefix=f"repro-spill-{self.job_name}-", dir=self._spill_dir_base
-            )
+            self._dir = tempfile.mkdtemp(prefix=f"repro-spill-{self.job_name}-")
         return os.path.join(self._dir, f"p{part:04d}-s{index:06d}.seg")
 
     def _spill(self, part: int) -> None:
@@ -541,10 +516,10 @@ class SpillingShuffle:
                 self.counters.increment("fault", "spill_segments_corrupted")
                 self.counters.increment("shuffle", "spill_respills")
             attempt += 1
-            if attempt > self.max_spill_attempts:
+            if attempt > MAX_SPILL_ATTEMPTS:
                 raise FaultError(
                     f"spill segment {seg.path} still corrupt after "
-                    f"{self.max_spill_attempts} write attempts"
+                    f"{MAX_SPILL_ATTEMPTS} write attempts"
                 )
             self._respill(seg, attempt)
 
@@ -563,7 +538,7 @@ class SpillingShuffle:
         seen = 0
         for task_output in self._task_outputs:
             for key, value in task_output:
-                if self.partitioner(key, self.num_partitions) != seg.partition:
+                if stable_hash(key) % self.num_partitions != seg.partition:
                     continue
                 if lo <= seen < hi:
                     records.append((key, value))

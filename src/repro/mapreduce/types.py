@@ -26,7 +26,10 @@ def stable_hash(key: object) -> int:
 
 @dataclass(frozen=True)
 class JobConf:
-    """Execution configuration for one Map-Reduce job.
+    """The shape of one Map-Reduce job.
+
+    Execution policy (fault plan, checkpoint, retry policy) is not part of
+    a job's shape: it is set once, when the runner is built.
 
     Attributes
     ----------
@@ -40,24 +43,6 @@ class JobConf:
     use_combiner:
         Run the job's combiner (when defined) on each map task's output
         before the shuffle.
-    sort_output:
-        Sort the final output by key (Hadoop guarantees per-reducer key
-        order; sorting globally makes the serial runner deterministic).
-    max_task_attempts:
-        How many times a failing task attempt is retried before the whole
-        job fails (Hadoop's ``mapred.map.max.attempts``; 1 = no retries).
-    task_timeout:
-        Wall-clock deadline per attempt in seconds; attempts exceeding it
-        are abandoned and retried (``mapred.task.timeout``).  ``None``
-        disables the deadline.
-    speculative_margin:
-        Straggler multiplier: a running task whose runtime exceeds
-        ``margin x median(completed task durations)`` gets a speculative
-        backup attempt; the first result wins and the loser's output is
-        discarded.  ``0`` disables speculation.
-    retry_backoff:
-        Base of the exponential backoff slept between attempts
-        (``backoff * 2**(attempt-1)`` seconds); 0 retries immediately.
     spill_threshold_bytes:
         Engage the external spill-to-disk shuffle
         (:class:`~repro.mapreduce.shuffle.SpillingShuffle`): per-partition
@@ -71,11 +56,6 @@ class JobConf:
     num_map_tasks: int = 1
     num_reduce_tasks: int = 1
     use_combiner: bool = True
-    sort_output: bool = True
-    max_task_attempts: int = 1
-    task_timeout: float | None = None
-    speculative_margin: float = 0.0
-    retry_backoff: float = 0.0
     spill_threshold_bytes: int | None = None
 
     def __post_init__(self) -> None:
@@ -86,22 +66,6 @@ class JobConf:
         if self.num_reduce_tasks < 1:
             raise MapReduceError(
                 f"num_reduce_tasks must be >= 1, got {self.num_reduce_tasks}"
-            )
-        if self.max_task_attempts < 1:
-            raise MapReduceError(
-                f"max_task_attempts must be >= 1, got {self.max_task_attempts}"
-            )
-        if self.task_timeout is not None and self.task_timeout <= 0:
-            raise MapReduceError(
-                f"task_timeout must be positive, got {self.task_timeout}"
-            )
-        if self.speculative_margin < 0:
-            raise MapReduceError(
-                f"speculative_margin must be >= 0, got {self.speculative_margin}"
-            )
-        if self.retry_backoff < 0:
-            raise MapReduceError(
-                f"retry_backoff must be >= 0, got {self.retry_backoff}"
             )
         if self.spill_threshold_bytes is not None and self.spill_threshold_bytes < 0:
             raise MapReduceError(

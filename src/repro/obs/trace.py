@@ -66,7 +66,7 @@ class Span:
     parent_id: int | None
     start_s: float
     end_s: float | None = None
-    kind: str = "span"  # "pipeline" | "phase" | "chain" | "job" | "task" | "attempt" | ...
+    kind: str = "span"  # "pipeline" | "phase" | "job" | "task" | "attempt" | ...
     status: str = "ok"  # "ok" | "error"
     pid: int = 0
     attrs: dict = field(default_factory=dict)

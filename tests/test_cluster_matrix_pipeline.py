@@ -90,7 +90,7 @@ class TestSimilarityJob:
         result = SerialRunner().run(
             similarity_band_job(sketches),
             [(0, (0, 4)), (1, (4, 10))],
-            JobConf(num_map_tasks=2, num_reduce_tasks=1, sort_output=True),
+            JobConf(num_map_tasks=2, num_reduce_tasks=1),
         )
         for start, band in result.output:
             assert band.dtype == np.min_scalar_type(num_hashes)

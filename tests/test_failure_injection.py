@@ -146,9 +146,8 @@ class TestDatanodeDiesMidJob:
         plan = FaultPlan(
             datanode_kills=[DatanodeKill("map_end", n) for n in doomed]
         ).bind_hdfs(fs)
-        result = SerialRunner().run(
-            job, inputs, JobConf(num_map_tasks=2, num_reduce_tasks=2),
-            fault_plan=plan,
+        result = SerialRunner(fault_plan=plan).run(
+            job, inputs, JobConf(num_map_tasks=2, num_reduce_tasks=2)
         )
         assert dict(result.output) == {i: 16 for i, _ in inputs}
         assert result.counters.get("fault", "datanodes_killed") == 2
@@ -166,7 +165,6 @@ class TestDatanodeDiesMidJob:
             auto_rereplicate=False,
         ).bind_hdfs(fs)
         with pytest.raises(HdfsError, match="replicas"):
-            SerialRunner().run(
-                job, inputs, JobConf(num_map_tasks=2, num_reduce_tasks=2),
-                fault_plan=plan,
+            SerialRunner(fault_plan=plan).run(
+                job, inputs, JobConf(num_map_tasks=2, num_reduce_tasks=2)
             )

@@ -68,10 +68,11 @@ class TestPoolRetries:
                 ("wc", "reduce", 1, 1): Fault(kind="crash"),
             }
         )
-        runner = MultiprocessRunner(num_workers=2, trace=True)
-        result = runner.run(
-            WORDCOUNT, DOCS, CONF, fault_plan=plan, retry=RetryPolicy(max_attempts=3)
+        runner = MultiprocessRunner(
+            num_workers=2, trace=True, fault_plan=plan,
+            retry=RetryPolicy(max_attempts=3),
         )
+        result = runner.run(WORDCOUNT, DOCS, CONF)
         assert result.output == clean_output()
         assert result.counters.get("fault", "task_retries") == 2
         assert result.trace.map_tasks[1].attempts == 2
@@ -79,10 +80,11 @@ class TestPoolRetries:
 
     def test_corruption_detected_across_process_boundary(self):
         plan = FaultPlan(schedule={("wc", "map", 2, 1): Fault(kind="corrupt")})
-        runner = MultiprocessRunner(num_workers=2, trace=True)
-        result = runner.run(
-            WORDCOUNT, DOCS, CONF, fault_plan=plan, retry=RetryPolicy(max_attempts=2)
+        runner = MultiprocessRunner(
+            num_workers=2, trace=True, fault_plan=plan,
+            retry=RetryPolicy(max_attempts=2),
         )
+        result = runner.run(WORDCOUNT, DOCS, CONF)
         assert result.output == clean_output()
         assert "checksum mismatch" in result.trace.map_tasks[2].failures[0]
 
@@ -91,9 +93,9 @@ class TestPoolRetries:
             schedule={("wc", "map", 0, a): Fault(kind="crash") for a in (1, 2)}
         )
         with pytest.raises(TaskFailedError, match="failed after 2 attempt"):
-            MultiprocessRunner(num_workers=2).run(
-                WORDCOUNT, DOCS, CONF, fault_plan=plan, retry=RetryPolicy(max_attempts=2)
-            )
+            MultiprocessRunner(
+                num_workers=2, fault_plan=plan, retry=RetryPolicy(max_attempts=2)
+            ).run(WORDCOUNT, DOCS, CONF)
 
     def test_worker_process_crash_reclaimed_by_timeout(self, tmp_path):
         # The first attempt of map task 0 hard-kills its worker process;
@@ -104,13 +106,10 @@ class TestPoolRetries:
             mapper=_ExitOnceMapper(tmp_path / "died.flag"),
             reducer=sum_reducer,
         )
-        runner = MultiprocessRunner(num_workers=2, trace=True)
-        result = runner.run(
-            job,
-            DOCS,
-            CONF,
-            retry=RetryPolicy(max_attempts=3, timeout=0.5),
+        runner = MultiprocessRunner(
+            num_workers=2, trace=True, retry=RetryPolicy(max_attempts=3, timeout=0.5)
         )
+        result = runner.run(job, DOCS, CONF)
         assert dict(result.output) == dict(clean_output())
         assert (tmp_path / "died.flag").exists()
         task = result.trace.map_tasks[0]
@@ -123,11 +122,11 @@ class TestTimeoutsAndSpeculation:
         plan = FaultPlan(
             schedule={("wc", "map", 3, 1): Fault(kind="hang", delay=5.0)}
         )
-        runner = MultiprocessRunner(num_workers=2, trace=True)
-        result = runner.run(
-            WORDCOUNT, DOCS, CONF, fault_plan=plan,
+        runner = MultiprocessRunner(
+            num_workers=2, trace=True, fault_plan=plan,
             retry=RetryPolicy(max_attempts=2, timeout=0.1),
         )
+        result = runner.run(WORDCOUNT, DOCS, CONF)
         assert result.output == clean_output()
         task = result.trace.map_tasks[3]
         assert task.attempts == 2
@@ -140,11 +139,11 @@ class TestTimeoutsAndSpeculation:
         plan = FaultPlan(
             schedule={("wc", "map", 3, 1): Fault(kind="hang", delay=1.0)}
         )
-        runner = MultiprocessRunner(num_workers=2, trace=True)
-        result = runner.run(
-            WORDCOUNT, DOCS, CONF, fault_plan=plan,
+        runner = MultiprocessRunner(
+            num_workers=2, trace=True, fault_plan=plan,
             retry=RetryPolicy(max_attempts=2, speculative_margin=3.0),
         )
+        result = runner.run(WORDCOUNT, DOCS, CONF)
         assert result.output == clean_output()
         task = result.trace.map_tasks[3]
         assert task.speculative_win
@@ -180,11 +179,11 @@ class TestDegradationAndRejection:
                 ("wc", "reduce", 0, 1): Fault(kind="hang", delay=5.0),
             }
         )
-        runner = MultiprocessRunner(num_workers=1, trace=True)
-        result = runner.run(
-            WORDCOUNT, DOCS, CONF, fault_plan=plan,
+        runner = MultiprocessRunner(
+            num_workers=1, trace=True, fault_plan=plan,
             retry=RetryPolicy(max_attempts=2, timeout=0.05),
         )
+        result = runner.run(WORDCOUNT, DOCS, CONF)
         assert result.output == clean_output()
         assert result.trace.map_tasks[0].attempts == 2
         assert result.trace.map_tasks[2].attempts == 2
@@ -205,10 +204,10 @@ class TestDegradationAndRejection:
         # Speculation is armed, but a crash retry is a plain retry: only a
         # straggling hang launches a backup that can win.
         plan = FaultPlan(schedule={("wc", "map", 0, 1): Fault(kind="crash")})
-        result = MultiprocessRunner(num_workers=1, trace=True).run(
-            WORDCOUNT, DOCS, CONF, fault_plan=plan,
+        result = MultiprocessRunner(
+            num_workers=1, trace=True, fault_plan=plan,
             retry=RetryPolicy(max_attempts=2, speculative_margin=1.5),
-        )
+        ).run(WORDCOUNT, DOCS, CONF)
         assert result.output == clean_output()
         assert result.trace.map_tasks[0].attempts == 2
         assert not result.trace.map_tasks[0].speculative_win
@@ -221,9 +220,9 @@ class TestDegradationAndRejection:
                 ("wc", "reduce", 0, 1): Fault(kind="slow_node", delay=0.01),
             }
         )
-        serial = SerialRunner().run(WORDCOUNT, DOCS, CONF, fault_plan=plan)
-        pooled = MultiprocessRunner(num_workers=2, trace=True).run(
-            WORDCOUNT, DOCS, CONF, fault_plan=plan
+        serial = SerialRunner(fault_plan=plan).run(WORDCOUNT, DOCS, CONF)
+        pooled = MultiprocessRunner(num_workers=2, trace=True, fault_plan=plan).run(
+            WORDCOUNT, DOCS, CONF
         )
         assert pooled.output == serial.output
         assert pooled.counters.as_dict() == serial.counters.as_dict()
@@ -243,10 +242,10 @@ class TestDegradationAndRejection:
     def test_serial_and_multiprocess_agree_under_faults(self):
         plan = FaultPlan(seed=11, mapper_crash_rate=0.4, max_faulted_attempts=2)
         policy = RetryPolicy(max_attempts=3)
-        serial = SerialRunner().run(
-            WORDCOUNT, DOCS, CONF, fault_plan=plan, retry=policy
+        serial = SerialRunner(fault_plan=plan, retry=policy).run(
+            WORDCOUNT, DOCS, CONF
         )
-        parallel = MultiprocessRunner(num_workers=2).run(
-            WORDCOUNT, DOCS, CONF, fault_plan=plan, retry=policy
+        parallel = MultiprocessRunner(num_workers=2, fault_plan=plan, retry=policy).run(
+            WORDCOUNT, DOCS, CONF
         )
         assert serial.output == parallel.output == clean_output()

@@ -202,21 +202,6 @@ class TestDatanodeKills:
 
 
 class TestRetryPolicy:
-    def test_from_conf(self):
-        from repro.mapreduce.types import JobConf
-
-        conf = JobConf(
-            max_task_attempts=4,
-            task_timeout=2.5,
-            speculative_margin=1.5,
-            retry_backoff=0.01,
-        )
-        policy = RetryPolicy.from_conf(conf)
-        assert policy.max_attempts == 4
-        assert policy.timeout == 2.5
-        assert policy.speculative_margin == 1.5
-        assert policy.backoff == 0.01
-
     def test_exponential_backoff_with_cap(self):
         policy = RetryPolicy(max_attempts=10, backoff=0.1, backoff_cap=0.35)
         assert policy.backoff_delay(1) == pytest.approx(0.1)

@@ -76,10 +76,9 @@ class TestFaultProperties:
         which task attempt crashes or gets corrupted."""
         inputs = list(enumerate(texts))
         clean = SerialRunner(trace=False).run(WORDCOUNT, inputs, CONF)
-        chaotic = SerialRunner(trace=False).run(
-            WORDCOUNT, inputs, CONF,
-            fault_plan=FaultPlan(schedule=schedule), retry=POLICY,
-        )
+        chaotic = SerialRunner(
+            trace=False, fault_plan=FaultPlan(schedule=schedule), retry=POLICY
+        ).run(WORDCOUNT, inputs, CONF)
         assert chaotic.output == clean.output
 
     @given(docs, single_faults)
@@ -88,10 +87,9 @@ class TestFaultProperties:
         """Grouping and sorting invariants hold under failure: output keys
         are unique, sorted, and totals match the reference count."""
         inputs = list(enumerate(texts))
-        result = SerialRunner(trace=False).run(
-            WORDCOUNT, inputs, CONF,
-            fault_plan=FaultPlan(schedule=schedule), retry=POLICY,
-        )
+        result = SerialRunner(
+            trace=False, fault_plan=FaultPlan(schedule=schedule), retry=POLICY
+        ).run(WORDCOUNT, inputs, CONF)
         keys = [k for k, _ in result.output]
         assert keys == sorted(keys)
         assert len(keys) == len(set(keys))
@@ -113,8 +111,8 @@ class TestFaultProperties:
             corrupt_rate=0.3,
             max_faulted_attempts=2,
         )
-        chaotic = SerialRunner(trace=False).run(
-            WORDCOUNT, inputs, CONF, fault_plan=plan, retry=POLICY
+        chaotic = SerialRunner(trace=False, fault_plan=plan, retry=POLICY).run(
+            WORDCOUNT, inputs, CONF
         )
         assert chaotic.output == clean.output
 
@@ -127,8 +125,8 @@ class TestFaultProperties:
 
         def chaotic_run():
             plan = FaultPlan(seed=seed, mapper_crash_rate=0.5, max_faulted_attempts=2)
-            return SerialRunner().run(
-                WORDCOUNT, inputs, CONF, fault_plan=plan, retry=POLICY
+            return SerialRunner(fault_plan=plan, retry=POLICY).run(
+                WORDCOUNT, inputs, CONF
             )
 
         a, b = chaotic_run(), chaotic_run()
@@ -162,7 +160,7 @@ class TestFaultProperties:
             spill_threshold_bytes=spill,
         )
 
-        def observe(runner):
+        def observe(make):
             plan = FaultPlan(
                 seed=seed,
                 mapper_crash_rate=0.3,
@@ -173,9 +171,8 @@ class TestFaultProperties:
                 max_faulted_attempts=2,
             )
             sunk = []
-            result = runner.run(
-                WORDCOUNT, inputs, conf, fault_plan=plan, retry=POLICY,
-                output_sink=sunk.append if sink else None,
+            result = make(fault_plan=plan, retry=POLICY).run(
+                WORDCOUNT, inputs, conf, output_sink=sunk.append if sink else None
             )
             counters = {
                 group: names
@@ -185,7 +182,7 @@ class TestFaultProperties:
             output = pickle.dumps(sunk if sink else result.output)
             return output, counters, _task_fields(result.trace)
 
-        serial, *others = [observe(make()) for make in IDENTITY_RUNNERS]
+        serial, *others = [observe(make) for make in IDENTITY_RUNNERS]
         for other in others:
             assert other == serial
 

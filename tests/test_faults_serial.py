@@ -53,9 +53,9 @@ class TestRetries:
                 ("wc", "reduce", 0, 1): Fault(kind="crash"),
             }
         )
-        result = SerialRunner().run(
-            WORDCOUNT, DOCS, CONF, fault_plan=plan, retry=RetryPolicy(max_attempts=3)
-        )
+        result = SerialRunner(
+            fault_plan=plan, retry=RetryPolicy(max_attempts=3)
+        ).run(WORDCOUNT, DOCS, CONF)
         assert result.output == clean_result().output
         assert result.counters.get("fault", "task_retries") == 2
         assert result.counters.get("fault", "attempts_failed") == 2
@@ -69,9 +69,9 @@ class TestRetries:
 
     def test_corrupt_partition_detected_and_retried(self):
         plan = FaultPlan(schedule={("wc", "map", 0, 1): Fault(kind="corrupt")})
-        result = SerialRunner().run(
-            WORDCOUNT, DOCS, CONF, fault_plan=plan, retry=RetryPolicy(max_attempts=2)
-        )
+        result = SerialRunner(
+            fault_plan=plan, retry=RetryPolicy(max_attempts=2)
+        ).run(WORDCOUNT, DOCS, CONF)
         assert result.output == clean_result().output
         assert "checksum mismatch" in result.trace.map_tasks[0].failures[0]
 
@@ -82,8 +82,8 @@ class TestRetries:
             }
         )
         with pytest.raises(TaskFailedError, match="failed after 3 attempt"):
-            SerialRunner().run(
-                WORDCOUNT, DOCS, CONF, fault_plan=plan, retry=RetryPolicy(max_attempts=3)
+            SerialRunner(fault_plan=plan, retry=RetryPolicy(max_attempts=3)).run(
+                WORDCOUNT, DOCS, CONF
             )
 
     def test_user_exception_retried_when_attempts_allow(self):
@@ -96,8 +96,8 @@ class TestRetries:
             yield key, value
 
         job = MapReduceJob(name="flaky", mapper=flaky_mapper, reducer=sum_reducer)
-        result = SerialRunner().run(
-            job, [(1, 10), (2, 20)], JobConf(num_map_tasks=2), retry=RetryPolicy(max_attempts=2)
+        result = SerialRunner(retry=RetryPolicy(max_attempts=2)).run(
+            job, [(1, 10), (2, 20)], JobConf(num_map_tasks=2)
         )
         assert dict(result.output) == {1: 10, 2: 20}
         assert result.counters.get("fault", "task_retries") == 2
@@ -118,22 +118,19 @@ class TestRetries:
         plan = FaultPlan(
             schedule={("wc", "map", 0, a): Fault(kind="crash") for a in (1, 2)}
         )
-        SerialRunner().run(
-            WORDCOUNT,
-            DOCS,
-            CONF,
+        SerialRunner(
             fault_plan=plan,
             retry=RetryPolicy(max_attempts=3, backoff=0.01, backoff_cap=1.0),
-        )
+        ).run(WORDCOUNT, DOCS, CONF)
         assert sleeps == [pytest.approx(0.01), pytest.approx(0.02)]
 
     def test_rate_based_chaos_converges_with_attempt_cap(self):
         plan = FaultPlan(
             seed=7, mapper_crash_rate=0.5, corrupt_rate=0.3, max_faulted_attempts=2
         )
-        result = SerialRunner().run(
-            WORDCOUNT, DOCS, CONF, fault_plan=plan, retry=RetryPolicy(max_attempts=3)
-        )
+        result = SerialRunner(
+            fault_plan=plan, retry=RetryPolicy(max_attempts=3)
+        ).run(WORDCOUNT, DOCS, CONF)
         assert result.output == clean_result().output
 
 
@@ -142,10 +139,9 @@ class TestHangsAndSpeculation:
         plan = FaultPlan(
             schedule={("wc", "map", 0, 1): Fault(kind="hang", delay=0.001)}
         )
-        result = SerialRunner().run(
-            WORDCOUNT, DOCS, CONF, fault_plan=plan,
-            retry=RetryPolicy(max_attempts=2, timeout=10.0),
-        )
+        result = SerialRunner(
+            fault_plan=plan, retry=RetryPolicy(max_attempts=2, timeout=10.0)
+        ).run(WORDCOUNT, DOCS, CONF)
         assert result.output == clean_result().output
         assert result.trace.map_tasks[0].attempts == 1
 
@@ -153,10 +149,9 @@ class TestHangsAndSpeculation:
         plan = FaultPlan(
             schedule={("wc", "map", 3, 1): Fault(kind="hang", delay=5.0)}
         )
-        result = SerialRunner().run(
-            WORDCOUNT, DOCS, CONF, fault_plan=plan,
-            retry=RetryPolicy(max_attempts=2, timeout=0.01),
-        )
+        result = SerialRunner(
+            fault_plan=plan, retry=RetryPolicy(max_attempts=2, timeout=0.01)
+        ).run(WORDCOUNT, DOCS, CONF)
         assert result.output == clean_result().output
         task = result.trace.map_tasks[3]
         assert task.attempts == 2
@@ -168,10 +163,9 @@ class TestHangsAndSpeculation:
         plan = FaultPlan(
             schedule={("wc", "map", 3, 1): Fault(kind="hang", delay=5.0)}
         )
-        result = SerialRunner().run(
-            WORDCOUNT, DOCS, CONF, fault_plan=plan,
-            retry=RetryPolicy(max_attempts=2, speculative_margin=1.5),
-        )
+        result = SerialRunner(
+            fault_plan=plan, retry=RetryPolicy(max_attempts=2, speculative_margin=1.5)
+        ).run(WORDCOUNT, DOCS, CONF)
         assert result.output == clean_result().output
         task = result.trace.map_tasks[3]
         assert task.speculative_win
@@ -197,9 +191,9 @@ class TestExactlyOnce:
         plan = FaultPlan(
             schedule={("cnt", "map", 0, 1): Fault(kind="corrupt")}
         )
-        result = SerialRunner().run(
-            job, DOCS, CONF, fault_plan=plan, retry=RetryPolicy(max_attempts=2)
-        )
+        result = SerialRunner(
+            fault_plan=plan, retry=RetryPolicy(max_attempts=2)
+        ).run(job, DOCS, CONF)
         # 4 splits; split 0 ran twice (5 mapper invocations observed)...
         assert len(attempts_seen) == 5
         # ...but the counter reflects exactly one call per split.
@@ -231,11 +225,11 @@ class TestCheckpointResume:
 
         kill_plan = FaultPlan(kill_job_after_tasks=3)
         with pytest.raises(JobKilledError):
-            SerialRunner().run(job, DOCS, CONF, fault_plan=kill_plan, checkpoint=ckpt)
+            SerialRunner(fault_plan=kill_plan, checkpoint=ckpt).run(job, DOCS, CONF)
         assert len(ckpt.task_ids()) == 3
         assert log == [0, 1, 2]  # three map tasks completed before the kill
 
-        resumed = SerialRunner().run(job, DOCS, CONF, checkpoint=ckpt)
+        resumed = SerialRunner(checkpoint=ckpt).run(job, DOCS, CONF)
         # The resumed run re-executed only map task 3 — total mapper calls
         # across both runs equal one pass over the input.
         assert log == [0, 1, 2, 3]
@@ -275,13 +269,6 @@ class TestCheckpointResume:
         assert result.output == clean_result().output
         assert result.trace.map_tasks[0].attempts == 2
 
-    def test_conf_knobs_drive_policy(self):
-        plan = FaultPlan(schedule={("wc", "map", 0, 1): Fault(kind="crash")})
-        conf = JobConf(num_map_tasks=4, num_reduce_tasks=2, max_task_attempts=2)
-        result = SerialRunner().run(WORDCOUNT, DOCS, conf, fault_plan=plan)
-        assert result.output == clean_result().output
-        assert result.trace.map_tasks[0].attempts == 2
-
 
 class TestFaultErrorShape:
     def test_fault_error_carries_task_context(self):
@@ -296,9 +283,9 @@ class TestFaultErrorShape:
         plan = FaultPlan(
             schedule={("wc", "map", 1, 1): Fault(kind="crash")}
         )
-        faulted = SerialRunner().run(
-            WORDCOUNT, DOCS, CONF, fault_plan=plan, retry=RetryPolicy(max_attempts=2)
-        )
+        faulted = SerialRunner(
+            fault_plan=plan, retry=RetryPolicy(max_attempts=2)
+        ).run(WORDCOUNT, DOCS, CONF)
         clean = clean_result()
         sim = ClusterSimulator(ClusterSpec(num_nodes=1), M1_LARGE_COST_MODEL)
         faulted_report = sim.simulate_job(faulted.trace)

@@ -1,12 +1,19 @@
 """Tests for Map-Reduce core pieces: counters, shuffle, job definitions."""
 
+import importlib
+
 import pytest
 
 from repro.errors import MapReduceError
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.job import MapReduceJob, identity_mapper, identity_reducer
-from repro.mapreduce.shuffle import default_partitioner, shuffle, sort_grouped_keys
+from repro.mapreduce.shuffle import SpillingShuffle, shuffle, sort_grouped_keys
 from repro.mapreduce.types import JobConf, stable_hash
+
+
+def default_partitioner(key, num_partitions):
+    """The one routing rule both shuffles apply."""
+    return stable_hash(key) % num_partitions
 
 
 class TestStableHash:
@@ -93,9 +100,35 @@ class TestShuffle:
             for key, _values in groups:
                 assert default_partitioner(key, 4) == p
 
-    def test_bad_partitioner_rejected(self):
-        with pytest.raises(MapReduceError, match="partitioner returned"):
-            shuffle([[("k", 1)]], 2, lambda k, n: 99)
+    def test_both_shuffles_route_through_module_stable_hash(self, monkeypatch):
+        # Looked up as a repro.mapreduce.shuffle global on every record,
+        # so a wrapper installed there sees each routed key exactly once.
+        calls = []
+
+        def counting_hash(key):
+            calls.append(key)
+            return 1
+
+        # The package re-exports the shuffle() function under the same
+        # name as the module, so patch the module object itself.
+        shuffle_module = importlib.import_module("repro.mapreduce.shuffle")
+        monkeypatch.setattr(shuffle_module, "stable_hash", counting_hash)
+        outputs = [[(f"k{i}", i) for i in range(10)], [("k0", 10), ("k3", 11)]]
+        records = [pair for out in outputs for pair in out]
+
+        partitions, moved = shuffle(outputs, 4)
+        assert moved == len(records) == len(calls)
+        assert [bool(p) for p in partitions] == [False, True, False, False]
+        assert sum(len(v) for _, v in partitions[1]) == len(records)
+
+        calls.clear()
+        with SpillingShuffle(4, spill_threshold_bytes=0) as spill:
+            for out in outputs:
+                spill.add_task_output(out)
+            spilled, moved = spill.finish()
+            assert moved == len(records) == len(calls)
+            assert [p.num_records for p in spilled] == [0, len(records), 0, 0]
+            assert [list(p) for p in spilled] == partitions
 
     def test_bad_record_rejected(self):
         with pytest.raises(MapReduceError, match="not a \\(key, value\\) pair"):

@@ -101,24 +101,6 @@ class TestSerialRunner:
         with pytest.raises(MapReduceError):
             SerialRunner().run(job, [(0, "x")])
 
-    def test_run_chain(self):
-        # Stage 1: wordcount; stage 2: bucket counts by parity.
-        def parity_mapper(word, count):
-            yield count % 2, count
-
-        chain_job = MapReduceJob(name="parity", mapper=parity_mapper, reducer=sum_reducer)
-        result, traces = SerialRunner().run_chain(
-            [(WORDCOUNT, None), (chain_job, None)], DOCS
-        )
-        assert [t.job_name for t in traces] == ["wordcount", "parity"]
-        expected_odd = sum(v for v in EXPECTED.values() if v % 2 == 1)
-        expected_even = sum(v for v in EXPECTED.values() if v % 2 == 0)
-        assert dict(result.output) == {0: expected_even, 1: expected_odd}
-
-    def test_run_chain_empty_rejected(self):
-        with pytest.raises(MapReduceError):
-            SerialRunner().run_chain([], DOCS)
-
 
 class TestMultiprocessRunner:
     def test_matches_serial(self):

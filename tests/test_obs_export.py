@@ -29,16 +29,19 @@ def mapper(key, value):
 
 
 def make_chain_tracer():
-    """Trace a two-job chain through the serial runner."""
+    """Trace a two-job chain, each job fed the previous one's output, under
+    one ``chain`` span."""
     jobs = [
         MapReduceJob(name="first", mapper=mapper, reducer=identity_reducer),
         MapReduceJob(name="second", mapper=mapper, reducer=identity_reducer),
     ]
-    inputs = [(i, i) for i in range(24)]
+    records = [(i, i) for i in range(24)]
     conf = JobConf(num_map_tasks=3, num_reduce_tasks=2)
+    runner = SerialRunner()
     tracer = Tracer()
-    with tracer.activate():
-        SerialRunner().run_chain([(job, conf) for job in jobs], inputs)
+    with tracer.activate(), tracer.span("chain"):
+        for job in jobs:
+            records = runner.run(job, records, conf).output
     return tracer
 
 

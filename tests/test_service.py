@@ -54,7 +54,7 @@ def flaky_spec(failures: int) -> MapReduceSpec:
     return MapReduceSpec(
         job=job,
         inputs=(("k", "v"),),
-        conf=JobConf(num_map_tasks=1, num_reduce_tasks=1, max_task_attempts=1),
+        conf=JobConf(num_map_tasks=1, num_reduce_tasks=1),
     )
 
 

@@ -15,6 +15,7 @@ the fallback merge.
 
 import glob
 import os
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -138,16 +139,15 @@ class TestSpillingShuffleUnit:
 
     def test_unrepairable_bitrot_raises_fault_error(self):
         plan = FaultPlan(seed=0, spill_corrupt_rate=1.0)  # rots every attempt
-        sp = SpillingShuffle(
-            1, spill_threshold_bytes=0, fault_plan=plan, max_spill_attempts=3
-        )
+        sp = SpillingShuffle(1, spill_threshold_bytes=0, fault_plan=plan)
         sp.add_task_output([(1, "a"), (2, "b")])
-        with pytest.raises(FaultError, match="still corrupt after 3"):
+        with pytest.raises(FaultError, match="still corrupt after 4"):
             sp.finish()
         sp.close()
 
-    def test_verify_segment_detects_truncation(self, tmp_path):
-        sp = SpillingShuffle(1, spill_threshold_bytes=0, spill_dir=str(tmp_path))
+    def test_verify_segment_detects_truncation(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        sp = SpillingShuffle(1, spill_threshold_bytes=0)
         sp.add_task_output([(i, i) for i in range(10)])
         (seg_path,) = glob.glob(str(tmp_path) + "/*/*.seg")
         assert verify_segment(seg_path)
@@ -182,8 +182,8 @@ class TestSpillingShuffleUnit:
 
 
 class TestSharedOrdering:
-    """Satellite fix: the runners' ``sort_output`` fallback routes through
-    the shared shuffle helpers so mixed-type orderings cannot drift."""
+    """The driver's output sort routes through the shared shuffle helpers
+    so mixed-type orderings cannot drift."""
 
     def test_sort_records_matches_sort_grouped_keys_on_mixed_types(self):
         keys = [3, "b", 1, (2,), "a", 7.5, b"x", None]
