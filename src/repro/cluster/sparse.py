@@ -13,10 +13,9 @@ runs that grouping as the MapReduce chain in
 :mod:`repro.cluster.sparse_jobs`.  What lives here is the in-process
 reference the chain, the tests and the benchmarks compare against, and
 the edge-stream clusterers (:func:`make_edge_stream`) the chain's verify
-sink feeds.  The references group like the chain run without a threshold
-(one band per position), so that run's candidate pairs equal
-:func:`candidate_pairs`; with a threshold the chain's wider pigeonhole
-bands find a subset of those pairs and the same edges:
+sink feeds.  The references group on one band per position, the chain's
+banding at θ = 1/n; at higher θ the chain's wider pigeonhole bands find
+a subset of those pairs and the same edges:
 
 * :func:`candidate_pairs` — all pairs colliding in at least one sketch
   component with their collision counts (a count over n components is

@@ -10,16 +10,16 @@ and MapReduce*) applied to the paper's min-hash sketches::
         map     sketch i            -> ((band_index, band_values), i)
         reduce  collision group     -> ((i, j), 1) deduplicated pairs
     job 2  "verify-candidates"
-        map     identity            (combiner sums per-pair multiplicity)
-        reduce  ((i, j), counts)    -> ((i, j), (collisions, match))
+        map     identity            (combiner collapses each pair's records)
+        reduce  ((i, j), counts)    -> ((i, j), match)
                                         verified against side-data sketches
     sink    above-threshold edges   -> union-find / greedy sweep
                                         (repro.cluster.sparse helpers)
 
 :func:`run_sparse_jobs` is the chain's one entry point, and its bands
-follow from its input alone.
+follow from its threshold alone.
 
-**Pigeonhole bands** (whenever a threshold is given).  A pair the
+**Pigeonhole bands.**  A pair the
 verifier accepts matches in at least ``θ·n`` of the ``n`` positions, so
 it has at most ``m`` mismatches, where ``m`` is the largest ``k`` with
 ``(n - k) / n >= θ`` (:func:`max_mismatches`, evaluated with the verify
@@ -30,12 +30,8 @@ band with no mismatch, so every edge collides on some band key: the
 candidates are a superset of the edges, and since job 2 re-scores each
 candidate, the edge set — and the assignment — is exactly the one every
 other exact path produces.  Band keys are the raw band value tuples, so
-no hash collision can merge groups.
-
-Without a threshold there is one band per position, keyed on
-``(hash index, min-hash value)`` — exactly the grouping of
-:func:`repro.cluster.sparse.candidate_pairs` — so the chain's candidate
-pairs and collision counts equal the in-process join's.
+no hash collision can merge groups.  At θ = 1/n there is one band per
+position, the grouping of :func:`repro.cluster.sparse.candidate_pairs`.
 
 Exactness condition: ``max_group=None`` (a cap drops whole band groups,
 and with them possibly the one band an edge matched on).  Then single
@@ -157,12 +153,10 @@ def pigeonhole_bands(num_hashes: int, threshold: float) -> tuple[tuple[int, int]
 
 
 class LshBandMapper:
-    """Emit ``((band_index, band_key), sketch_index)`` for every band.
+    """Emit ``((band_index, band_values), sketch_index)`` for every band.
 
-    ``bounds`` are ``(start, stop)`` position ranges.  A one-position
-    band keys on the min-hash value itself, so width-1 bands reproduce the
-    collision join of :mod:`repro.cluster.sparse` exactly; wider bands key
-    on the raw value tuple, so distinct bands never share a group.
+    ``bounds`` are ``(start, stop)`` position ranges; each band keys on its
+    raw value tuple, so distinct bands never share a group.
     """
 
     def __init__(self, bounds: Sequence[tuple[int, int]]):
@@ -170,17 +164,14 @@ class LshBandMapper:
 
     def __call__(self, key, values):
         for b, (start, stop) in enumerate(self.bounds):
-            if stop - start == 1:
-                yield (b, values[start]), key
-            else:
-                yield (b, tuple(values[start:stop])), key
+            yield (b, tuple(values[start:stop])), key
 
 
 class CandidatePairReducer:
     """One collision group -> its deduplicated intra-group pairs.
 
-    Emits ``((i, j), 1)`` with ``i < j``; the verify job sums the
-    multiplicities into per-pair collision counts.  Groups larger than
+    Emits ``((i, j), 1)`` with ``i < j``; the verify job's combiner
+    collapses a pair's records map-side.  Groups larger than
     ``max_group`` are dropped — the degenerate-value cap real Hadoop LSH
     jobs apply, mirrored from :func:`repro.cluster.sparse.candidate_pairs`.
     """
@@ -208,11 +199,10 @@ def sum_combiner(key, values):
 
 
 class VerifyReducer:
-    """Aggregate collision counts and verify every candidate pair.
+    """Verify every candidate pair against the side-data sketches.
 
-    Sums the pair's multiplicities into its collision count, then scores
-    the pair against the side-data sketches: ``match`` is the positional
-    match fraction.  Emits ``((i, j), (collisions, match))`` for *all*
+    ``match`` is the pair's positional match fraction; the counts it
+    arrives with do not enter it.  Emits ``((i, j), match)`` for *all*
     candidates so the candidate set and the edge set both come out of one
     reduce pass.
     """
@@ -232,7 +222,7 @@ class VerifyReducer:
             self._matrix = self.side.matrix()
         i, j = pair
         matches = int(np.count_nonzero(self._matrix[i] == self._matrix[j]))
-        yield pair, (int(sum(counts)), matches / self.side.num_hashes)
+        yield pair, matches / self.side.num_hashes
 
 
 # ----------------------------------------------------------------- driver
@@ -242,48 +232,41 @@ class VerifyReducer:
 class SparseEngineRun:
     """Everything produced by one run of the two-job LSH chain."""
 
-    pairs: dict[tuple[int, int], int]
-    """Candidate pairs ``{(i, j): collisions}`` — equals
-    :func:`repro.cluster.sparse.candidate_pairs` without a threshold."""
-
     matches: dict[tuple[int, int], float]
-    """Verified positional match fraction per candidate pair."""
+    """Verified positional match fraction ``{(i, j): match}`` of every
+    candidate pair (empty when streamed)."""
 
     edges: list[tuple[int, int]]
-    """Candidate pairs whose verified match cleared the threshold."""
+    """Candidate pairs whose verified match cleared the threshold (empty
+    when streamed)."""
 
-    assignment: ClusterAssignment | None
-    """Final clustering (``None`` when run without a threshold)."""
+    assignment: ClusterAssignment
+    """Final clustering."""
 
     traces: list[JobTrace]
     counters: Counters
     timings: dict[str, float]
-    threshold: float | None
+    rounds: int
+    """MapReduce rounds consumed (Ene et al.'s cost measure): the jobs the
+    chain ran, whether or not the runner traced them."""
     bands: tuple[tuple[int, int], ...] = ()
     """The ``(start, stop)`` position range of every LSH band."""
     candidate_pair_count: int = 0
-    """Verified candidate pairs seen (equals ``len(pairs)`` when collected;
-    the only pair accounting available in streamed runs)."""
+    """Verified candidate pairs seen (equals ``len(matches)`` when
+    collected; the only pair accounting available in streamed runs)."""
     edge_count: int = 0
     """Above-threshold edges (equals ``len(edges)`` when collected)."""
-    streamed: bool = False
-    """True when the verify output was streamed straight into the
-    clusterer — ``pairs``/``matches``/``edges`` are then left empty."""
-
-    @property
-    def rounds(self) -> int:
-        """MapReduce rounds consumed (Ene et al.'s cost measure)."""
-        return len(self.traces)
 
     @property
     def shuffle_bytes(self) -> int:
-        """Total shuffle volume across the chain's jobs."""
+        """Total shuffle volume the runner measured across the chain's
+        jobs; 0 when the runner samples no bytes (no traces)."""
         return sum(t.shuffle_bytes for t in self.traces)
 
 
 def run_sparse_jobs(
     sketches: Sequence[MinHashSketch],
-    threshold: float | None = None,
+    threshold: float,
     *,
     method: str = "hierarchical",
     runner=None,
@@ -292,7 +275,7 @@ def run_sparse_jobs(
     stream: bool = False,
     spill_threshold_bytes: int | None = None,
 ) -> SparseEngineRun:
-    """Run the LSH candidate chain, through to a clustering with a threshold.
+    """Run the LSH candidate chain through to a clustering at ``threshold``.
 
     With ``max_group=None`` the assignment is byte-identical to
     :func:`repro.cluster.sparse.sparse_single_linkage`
@@ -304,9 +287,7 @@ def run_sparse_jobs(
     ----------
     threshold:
         Similarity threshold θ in ``(0, 1]``; the bands are its pigeonhole
-        bands (:func:`pigeonhole_bands`).  ``None`` bands on every
-        position — the in-process join's grouping — and stops after the
-        verify job (candidate generation only, no assignment).
+        bands (:func:`pigeonhole_bands`).
     method:
         ``"hierarchical"`` (exact single linkage via union-find over the
         edge stream) or ``"greedy"`` (Algorithm 1's sweep, positional
@@ -319,9 +300,9 @@ def run_sparse_jobs(
     stream:
         Only feed the verify job's output records into the edge-stream
         clusterer: the full candidate-pair list is never materialized
-        (``pairs``/``matches``/``edges`` stay empty; the counts survive as
+        (``matches``/``edges`` stay empty; the counts survive as
         ``candidate_pair_count``/``edge_count``).  Without it the same
-        records are also kept.  Requires a ``threshold``.
+        records are also kept.
     spill_threshold_bytes:
         Forwarded to both jobs' :class:`JobConf` — engages the external
         spill-to-disk shuffle so the chain's group-bys also stop being
@@ -331,9 +312,9 @@ def run_sparse_jobs(
 
     if not sketches:
         raise ClusteringError("no sketches to index")
-    if stream and threshold is None:
+    if threshold is None or not 0.0 < threshold <= 1.0:
         raise ClusteringError(
-            "stream=True requires a threshold (edges stream into a clusterer)"
+            f"threshold must be in (0, 1] for the sparse path, got {threshold}"
         )
     if method not in ENGINE_METHODS:
         raise ClusteringError(
@@ -341,19 +322,10 @@ def run_sparse_jobs(
         )
     matrix = sketch_matrix(sketches)  # validates family compatibility
     n, num_hashes = matrix.shape
-    if threshold is None:
-        bounds = band_bounds(num_hashes, num_hashes)
-    elif 0.0 < threshold <= 1.0:
-        bounds = pigeonhole_bands(num_hashes, threshold)
-    else:
-        raise ClusteringError(
-            f"threshold must be in (0, 1] for the sparse path, got {threshold}"
-        )
+    bounds = pigeonhole_bands(num_hashes, threshold)
 
     runner = runner or SerialRunner()
     tracer = current_tracer()
-    counters = Counters()
-    traces: list[JobTrace] = []
     timings: dict[str, float] = {}
     conf = JobConf(
         num_map_tasks=num_tasks,
@@ -375,42 +347,33 @@ def run_sparse_jobs(
             reducer=CandidatePairReducer(max_group),
         )
         band_result = runner.run(band_job, list(enumerate(matrix.tolist())), conf)
-        counters.merge(band_result.counters)
-        if band_result.trace is not None:
-            traces.append(band_result.trace)
     timings["lsh_candidates"] = time.perf_counter() - t0
 
-    # ---- round 2: per-pair count aggregation + sketch verification -------
+    # ---- round 2: sketch verification of every candidate pair ------------
     t0 = time.perf_counter()
     with tracer.span(
         "phase:verify",
         kind="phase",
         candidate_records=len(band_result.output),
     ):
-        # Every verified record goes through one sink: with a threshold
-        # its edge flows from the reducers straight into the incremental
-        # clusterer (the driver holds O(N) union-find / adjacency state),
-        # and without ``stream`` the record is kept as well.
-        clusterer = (
-            None
-            if threshold is None
-            else make_edge_stream([s.read_id for s in sketches], method)
-        )
-        pairs: dict[tuple[int, int], int] = {}
+        # Every verified record goes through one sink: its edge flows from
+        # the reducers straight into the incremental clusterer (the driver
+        # holds O(N) union-find / adjacency state), and without ``stream``
+        # the record is kept as well.
+        clusterer = make_edge_stream([s.read_id for s in sketches], method)
         matches: dict[tuple[int, int], float] = {}
         edges: list[tuple[int, int]] = []
         pair_count = 0
 
         def sink(record):
             nonlocal pair_count
-            (i, j), (collisions, match) = record
+            (i, j), match = record
             pair_count += 1
-            edge = clusterer is not None and float(match) >= threshold
+            edge = float(match) >= threshold
             if edge:
                 clusterer.add(int(i), int(j))
             if not stream:
                 pair = (int(i), int(j))
-                pairs[pair] = int(collisions)
                 matches[pair] = float(match)
                 if edge:
                     edges.append(pair)
@@ -425,43 +388,40 @@ def run_sparse_jobs(
         verify_result = runner.run(
             verify_job, band_result.output, conf, output_sink=sink
         )
-        counters.merge(verify_result.counters)
-        if verify_result.trace is not None:
-            traces.append(verify_result.trace)
     timings["verify"] = time.perf_counter() - t0
 
     # ---- driver: finish the union-find / greedy sweep --------------------
-    assignment: ClusterAssignment | None = None
-    edge_count = 0
-    if clusterer is not None:
-        edge_count = clusterer.edges_seen
-        t0 = time.perf_counter()
-        with tracer.span("phase:cluster", kind="phase", num_edges=edge_count):
-            assignment = clusterer.finish()
-        timings["cluster"] = time.perf_counter() - t0
-        counters.increment("sparse_jobs", "clusters", assignment.num_clusters)
+    edge_count = clusterer.edges_seen
+    t0 = time.perf_counter()
+    with tracer.span("phase:cluster", kind="phase", num_edges=edge_count):
+        assignment = clusterer.finish()
+    timings["cluster"] = time.perf_counter() - t0
 
+    results = (band_result, verify_result)
+    traces = [r.trace for r in results if r.trace is not None]
+    counters = Counters()
+    for result in results:
+        counters.merge(result.counters)
     shuffle_bytes = sum(t.shuffle_bytes for t in traces)
+    counters.increment("sparse_jobs", "clusters", assignment.num_clusters)
     counters.increment("sparse_jobs", "candidate_pairs", pair_count)
     counters.increment("sparse_jobs", "edges", edge_count)
-    counters.increment("sparse_jobs", "rounds", len(traces))
+    counters.increment("sparse_jobs", "rounds", len(results))
     tracer.metrics.gauge("sparse_jobs.candidate_pairs").set(pair_count)
     tracer.metrics.gauge("sparse_jobs.edges").set(edge_count)
-    tracer.metrics.gauge("sparse_jobs.rounds").set(len(traces))
+    tracer.metrics.gauge("sparse_jobs.rounds").set(len(results))
     tracer.metrics.gauge("sparse_jobs.shuffle_bytes").set(shuffle_bytes)
     tracer.metrics.gauge("sparse_jobs.side_data_bytes").set(side.nbytes)
 
     return SparseEngineRun(
-        pairs=pairs,
         matches=matches,
         edges=edges,
         assignment=assignment,
         traces=traces,
         counters=counters,
         timings=timings,
-        threshold=threshold,
+        rounds=len(results),
         bands=bounds,
         candidate_pair_count=pair_count,
         edge_count=edge_count,
-        streamed=stream,
     )

@@ -31,7 +31,6 @@ from repro.errors import (
 from repro.mapreduce.types import JobConf, JobTrace, TaskTrace, stable_hash
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.job import MapReduceJob, identity_mapper, identity_reducer
-from repro.mapreduce.shuffle import shuffle
 from repro.mapreduce.cancel import CancelScope, check_cancelled, current_scope
 from repro.mapreduce.faults import (
     BlockBitRot,
@@ -102,7 +101,6 @@ __all__ = [
     "MapReduceJob",
     "identity_mapper",
     "identity_reducer",
-    "shuffle",
     "JobResult",
     "SerialRunner",
     "MultiprocessRunner",

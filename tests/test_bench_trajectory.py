@@ -1,9 +1,10 @@
 """Regression-comparator logic of the perf-trajectory gate.
 
 Exercises the pure comparison rules (direction, tolerance, floors,
-ceilings, exact metrics, workload pinning) without running the — slow —
-measurement pass; one smoke test checks the committed snapshot is
-well-formed and self-consistent with the comparator.
+ceilings, exact metrics, workload pinning); one smoke test checks the
+committed snapshot is well-formed and self-consistent with the
+comparator, and one runs the measurement pass once and checks every
+exact gate against that snapshot.
 """
 
 import copy
@@ -180,6 +181,21 @@ def test_committed_snapshot_is_wellformed():
     assert doc["service"]["health"]["totals"]["completed"] == 4
     # A snapshot always passes the gate against itself.
     assert compare(doc, doc) == []
+
+
+def test_collect_reproduces_every_exact_gate():
+    # Exact gates do not depend on the machine, so every supported Python
+    # checks them here; timing and tolerance gates stay in the perf job.
+    doc = json.loads(find_baseline(REPO_ROOT).read_text())
+    exact = {
+        name: spec["value"]
+        for name, spec in doc["metrics"].items()
+        if spec.get("exact")
+    }
+    current = bench_trajectory.collect()
+    assert current["workload"] == doc["workload"]
+    assert exact
+    assert {name: current["metrics"][name]["value"] for name in exact} == exact
 
 
 def test_cli_compare_exit_codes(tmp_path, capsys):

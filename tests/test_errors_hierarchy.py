@@ -149,7 +149,7 @@ class TestClusteringErrorTaxonomy:
         from repro.minhash.sketch import sketches_from_matrix
 
         with pytest.raises(errors.ClusteringError):
-            run_sparse_jobs([])
+            run_sparse_jobs([], 0.5)
         sketches = sketches_from_matrix([[0] * 4, [0] * 4], ["a", "b"], (4, 7, 0))
         with pytest.raises(errors.ClusteringError):
             run_sparse_jobs(sketches, 1.5)

@@ -1,6 +1,6 @@
 """Tests for Map-Reduce core pieces: counters, shuffle, job definitions."""
 
-import importlib
+import types
 
 import pytest
 
@@ -109,10 +109,12 @@ class TestShuffle:
             calls.append(key)
             return 1
 
-        # The package re-exports the shuffle() function under the same
-        # name as the module, so patch the module object itself.
-        shuffle_module = importlib.import_module("repro.mapreduce.shuffle")
-        monkeypatch.setattr(shuffle_module, "stable_hash", counting_hash)
+        import repro.mapreduce
+
+        # The package attribute names the submodule, so a dotted path
+        # reaches the module's globals.
+        assert isinstance(repro.mapreduce.shuffle, types.ModuleType)
+        monkeypatch.setattr("repro.mapreduce.shuffle.stable_hash", counting_hash)
         outputs = [[(f"k{i}", i) for i in range(10)], [("k0", 10), ("k3", 11)]]
         records = [pair for out in outputs for pair in out]
 

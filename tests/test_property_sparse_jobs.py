@@ -1,7 +1,8 @@
 """Property-test net over the dense <-> sparse <-> engine-sparse boundary.
 
 On random sketch sets (hypothesis-generated matrices), the engine-sparse
-job chain must produce exactly the in-process candidate pairs, and the
+job chain at θ = 1/n (one band per position) must produce exactly the
+in-process candidate pairs, and the
 three similarity paths must agree on the final clustering wherever
 exactness is guaranteed: byte-identical TSV for sparse vs engine-sparse
 (single linkage and greedy) and for dense vs sparse single linkage (the
@@ -97,8 +98,12 @@ def make_sketches(values):
 @given(values=matrices)
 def test_engine_pairs_exactly_equal_in_process_pairs(values):
     sketches = make_sketches(values)
-    run = run_sparse_jobs(sketches)
-    assert run.pairs == candidate_pairs(sketches)
+    n = values.shape[1]
+    run = run_sparse_jobs(sketches, 1 / n)
+    assert run.matches == {
+        pair: c / n for pair, c in candidate_pairs(sketches).items()
+    }
+    assert set(run.edges) == set(run.matches)
     assert run.rounds == 2
 
 
@@ -184,7 +189,7 @@ def test_pigeonhole_edges_equal_brute_force_and_band1_tsv(
     )
     assert set(run.edges) == positional_edges(compared, theta)
     # The in-process references group on every position, like width-1 bands.
-    assert set(run.pairs) <= set(candidate_pairs(sketches))
+    assert set(run.matches) <= set(candidate_pairs(sketches))
     reference = (
         sparse_single_linkage if method == "hierarchical" else sparse_greedy_cluster
     )

@@ -11,14 +11,17 @@ from repro.cluster.sparse import (
     sparse_single_linkage,
 )
 from repro.cluster.sparse_jobs import (
+    CandidatePairReducer,
     LshBandMapper,
     SketchSideData,
+    VerifyReducer,
     band_bounds,
     max_mismatches,
     pigeonhole_bands,
     run_sparse_jobs,
 )
 from repro.errors import ClusteringError
+from repro.mapreduce.runner import SerialRunner
 from repro.minhash.sketch import sketches_from_matrix
 from repro.minhash.wire import effective_threshold
 
@@ -32,28 +35,32 @@ def make_sketches(n=30, num_hashes=16, universe=12, seed=0):
 
 
 class TestCandidateParity:
+    # At θ = 1/n the pigeonhole bands are one per position, the in-process
+    # join's grouping, so each candidate's match is its collision count / n.
     def test_pairs_equal_in_process_join(self):
         sketches = make_sketches()
-        run = run_sparse_jobs(sketches)
-        assert run.pairs == candidate_pairs(sketches)
+        run = run_sparse_jobs(sketches, 1 / 16)
+        assert run.matches == {
+            pair: c / 16 for pair, c in candidate_pairs(sketches).items()
+        }
         assert run.rounds == 2
         assert run.shuffle_bytes > 0
 
     def test_max_group_cap_applied_identically(self):
         sketches = make_sketches(universe=4)  # big collision groups
-        run = run_sparse_jobs(sketches, max_group=8)
-        assert run.pairs == candidate_pairs(sketches, max_group=8)
+        run = run_sparse_jobs(sketches, 1 / 16, max_group=8)
+        assert run.matches.keys() == candidate_pairs(sketches, max_group=8).keys()
 
     def test_wider_bands_generate_a_subset(self):
-        # A threshold's pigeonhole bands are wider than one position.
+        # A higher threshold's pigeonhole bands are wider than one position.
         sketches = make_sketches(universe=4)
-        base = run_sparse_jobs(sketches).pairs
-        banded = run_sparse_jobs(sketches, 0.5).pairs
+        base = run_sparse_jobs(sketches, 1 / 16).matches
+        banded = run_sparse_jobs(sketches, 0.5).matches
         assert banded and set(banded) < set(base)
 
     def test_verified_match_is_true_positional_fraction(self):
         sketches = make_sketches()
-        run = run_sparse_jobs(sketches)
+        run = run_sparse_jobs(sketches, 1 / 16)
         matrix = np.stack([s.values for s in sketches])
         for (i, j), match in run.matches.items():
             expected = np.count_nonzero(matrix[i] == matrix[j]) / matrix.shape[1]
@@ -74,12 +81,6 @@ class TestClusteringParity:
         a = sparse_greedy_cluster(sketches, threshold)
         b = run_sparse_jobs(sketches, threshold, method="greedy")
         assert a.to_tsv() == b.assignment.to_tsv()
-
-    def test_candidate_only_run_has_no_assignment(self):
-        run = run_sparse_jobs(make_sketches())
-        assert run.assignment is None
-        assert run.edges == []
-        assert run.threshold is None
 
 
 THETA_GRID = (
@@ -139,7 +140,7 @@ class TestPigeonholeBands:
     def test_default_banding_follows_the_threshold(self):
         sketches = make_sketches()
         assert run_sparse_jobs(sketches, 0.75).bands == pigeonhole_bands(16, 0.75)
-        assert run_sparse_jobs(sketches).bands == band_bounds(16, 16)
+        assert run_sparse_jobs(sketches, 1 / 16).bands == band_bounds(16, 16)
 
     @pytest.mark.parametrize(
         "bits, threshold", [(2, 0.5), (1, 0.6), (2, 0.3)]
@@ -164,7 +165,7 @@ class TestPigeonholeBands:
 class TestValidation:
     def test_empty_sketches_rejected(self):
         with pytest.raises(ClusteringError, match="no sketches"):
-            run_sparse_jobs([])
+            run_sparse_jobs([], 0.5)
 
     def test_threshold_range(self):
         with pytest.raises(ClusteringError, match="threshold"):
@@ -200,7 +201,7 @@ class TestMapperSemantics:
     def test_band1_key_is_hash_index_and_value(self):
         mapper = LshBandMapper(band_bounds(3, 3))
         out = list(mapper(7, [10, 20, 30]))
-        assert out == [((0, 10), 7), ((1, 20), 7), ((2, 30), 7)]
+        assert out == [((0, (10,)), 7), ((1, (20,)), 7), ((2, (30,)), 7)]
 
     def test_wide_bands_emit_one_key_per_band(self):
         mapper = LshBandMapper(band_bounds(4, 2))
@@ -212,6 +213,30 @@ class TestMapperSemantics:
         mapper = LshBandMapper(band_bounds(5, 2))
         out = list(mapper(4, [1, 2, 3, 4, 5]))
         assert out == [((0, (1, 2, 3)), 4), ((1, (4, 5)), 4)]
+
+
+class TestReducerContracts:
+    def test_candidate_pairs_deduplicated_and_ordered(self):
+        out = list(CandidatePairReducer()((0, (1,)), [9, 2, 5, 2, 9]))
+        assert out == [((2, 5), 1), ((2, 9), 1), ((5, 9), 1)]
+
+    def test_singleton_group_emits_nothing(self):
+        reducer = CandidatePairReducer()
+        assert list(reducer((0, (1,)), [3])) == []
+        assert list(reducer((0, (1,)), [3, 3, 3])) == []
+
+    def test_max_group_boundary(self):
+        reducer = CandidatePairReducer(max_group=4)
+        # Repeated members count once against the cap.
+        assert len(list(reducer((0, (1,)), [0, 1, 2, 3, 3]))) == 6  # C(4, 2)
+        assert list(reducer((0, (1,)), [0, 1, 2, 3, 4])) == []
+
+    def test_verify_scores_from_side_data_whatever_the_counts(self):
+        matrix = np.array([[1, 2, 3, 4], [1, 2, 0, 4], [9, 9, 9, 9]])
+        reducer = VerifyReducer(SketchSideData.pack(matrix))
+        for counts in ([1], [3, 1], [0]):
+            assert list(reducer((0, 1), counts)) == [((0, 1), 0.75)]
+        assert list(reducer((0, 2), [4])) == [((0, 2), 0.0)]
 
 
 class TestObservability:
@@ -226,15 +251,34 @@ class TestObservability:
         assert "phase:verify" in names
         assert "phase:cluster" in names
         gauges = tracer.metrics.snapshot()["gauges"]
-        assert gauges["sparse_jobs.candidate_pairs"] == len(run.pairs)
+        assert gauges["sparse_jobs.candidate_pairs"] == len(run.matches)
         assert gauges["sparse_jobs.rounds"] == 2
         assert gauges["sparse_jobs.shuffle_bytes"] == run.shuffle_bytes
 
     def test_counters_carry_pair_accounting(self):
         run = run_sparse_jobs(make_sketches(), 0.5)
         stats = run.counters.as_dict()["sparse_jobs"]
-        assert stats["candidate_pairs"] == len(run.pairs)
+        assert stats["candidate_pairs"] == len(run.matches)
         assert stats["rounds"] == 2
+
+    def test_rounds_counted_without_traces(self, two_family_records):
+        # JobService's default runner records no traces.
+        from repro.obs import Tracer
+
+        runner = SerialRunner(trace=False)
+        tracer = Tracer()
+        with tracer.activate():
+            run = run_sparse_jobs(make_sketches(), 0.5, runner=runner)
+        assert run.traces == [] and run.shuffle_bytes == 0
+        assert run.rounds == 2
+        assert run.counters.get("sparse_jobs", "rounds") == 2
+        assert tracer.metrics.snapshot()["gauges"]["sparse_jobs.rounds"] == 2
+        fit = MrMCMinH(
+            kmer_size=5, num_hashes=32, threshold=0.6,
+            method="hierarchical", linkage="single", sparse="engine",
+            runner=runner,
+        ).fit(two_family_records)
+        assert fit.sparse_stats["rounds"] == 2
 
 
 class TestPipelineIntegration:

@@ -111,9 +111,8 @@ class TestStreamedEngineChain:
         # Nothing materialized driver-side: the verify job returned zero
         # collected records, and the run carries only counts.
         assert runner.collected["verify-candidates"] == 0
-        assert streamed.streamed
-        assert streamed.pairs == {} and streamed.matches == {} and streamed.edges == []
-        assert streamed.candidate_pair_count == len(base.pairs)
+        assert streamed.matches == {} and streamed.edges == []
+        assert streamed.candidate_pair_count == len(base.matches)
         assert streamed.edge_count == len(base.edges)
         assert (
             streamed.counters.get("sparse_jobs", "candidate_pairs")
@@ -139,8 +138,11 @@ class TestStreamedEngineChain:
         assert spilled.counters.get("shuffle", "spill_segments") > 0
 
     def test_stream_requires_threshold(self, sketches):
-        with pytest.raises(ClusteringError, match="stream=True requires"):
-            run_sparse_jobs(sketches, None, stream=True)
+        # Streamed or not, a missing threshold is a ClusteringError, not a
+        # TypeError from the range check.
+        for stream in (True, False):
+            with pytest.raises(ClusteringError, match="threshold must be in"):
+                run_sparse_jobs(sketches, None, stream=stream)
 
 
 class TestNoOrphanedSegments:
