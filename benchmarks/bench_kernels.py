@@ -22,7 +22,11 @@ from repro.minhash.sketch import (
     compute_sketch,
     compute_sketches,
 )
-from repro.minhash.similarity import pairwise_similarity_matrix
+from repro.minhash.similarity import (
+    MatchCounts,
+    pairwise_match_counts,
+    pairwise_similarity_matrix,
+)
 
 
 def _reads(n=200):
@@ -99,7 +103,9 @@ def test_bench_agglomeration(benchmark):
     positional similarities of 1,000 Table-III reads (k=5, n=100 hashes,
     so at most 101 distinct values and heavy ties), average linkage, cut
     during construction at θ=0.9 as ``agglomerative_cluster`` does.  Most
-    reads merge above θ, so nearly N merges are appended."""
+    reads merge above θ, so nearly N merges are appended.  The pipeline
+    hands the merge loop match counts instead of floats; agglomerating
+    those must give the same steps."""
     reads = _reads(1000)
     sketches = compute_sketches(reads, SketchingConfig(kmer_size=5, num_hashes=100))
     sim = pairwise_similarity_matrix(sketches)
@@ -108,6 +114,9 @@ def test_bench_agglomeration(benchmark):
     )
     assert len(dendrogram) > 0.9 * len(reads)
     assert all(step.similarity >= 0.9 for step in dendrogram.steps)
+    counts = MatchCounts(pairwise_match_counts(sketches), 100)
+    from_counts = build_dendrogram(counts, linkage="average", stop_threshold=0.9)
+    assert from_counts.steps == dendrogram.steps
 
 
 def test_bench_mapreduce_overhead(benchmark):

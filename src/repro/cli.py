@@ -132,10 +132,15 @@ def cmd_cluster(args) -> int:
     )
     if run.sparse_stats:
         stats = run.sparse_stats
+        # Shuffle bytes are measured only by a runner that traces its jobs.
+        shuffled = (
+            ""
+            if stats["shuffle_bytes"] is None
+            else f", {stats['shuffle_bytes']} shuffle bytes"
+        )
         print(
             f"# sparse: {stats['candidate_pairs']} candidate pairs, "
-            f"{stats['rounds']} round(s), "
-            f"{stats['shuffle_bytes']} shuffle bytes",
+            f"{stats['rounds']} round(s){shuffled}",
             file=sys.stderr,
         )
         print(

@@ -36,6 +36,7 @@ import numpy as np
 from repro.errors import ClusteringError
 from repro.cluster.assignments import ClusterAssignment
 from repro.cluster.dendrogram import Dendrogram, MergeStep
+from repro.minhash.similarity import MatchCounts
 
 LINKAGES = ("single", "average", "complete")
 
@@ -46,8 +47,18 @@ _NEG = -np.inf
 _VALIDATION_BAND_ELEMENTS = 1 << 18
 
 
-def _validate_similarity(similarity: np.ndarray) -> np.ndarray:
-    s = np.asarray(similarity, dtype=np.float64)
+def _validate_similarity(similarity: np.ndarray | MatchCounts) -> np.ndarray:
+    """Check ``similarity`` and return the merge loop's private float64
+    matrix: a copy of a float input, or match counts divided by n once.
+    Counts are checked on the integers, which is exactly checking k / n:
+    integers are finite, and symmetric or in [0, n] exactly when k / n is
+    symmetric or in [0, 1]."""
+    counts = isinstance(similarity, MatchCounts)
+    if counts:
+        s, low_bound, high_bound = similarity.counts, 0, similarity.num_hashes
+    else:
+        s = np.asarray(similarity, dtype=np.float64)
+        low_bound, high_bound = -1e-9, 1 + 1e-9
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ClusteringError(f"similarity must be square, got shape {s.shape}")
     n = s.shape[0]
@@ -67,7 +78,7 @@ def _validate_similarity(similarity: np.ndarray) -> np.ndarray:
         symmetric = symmetric and (
             np.array_equal(band, mirror) or np.allclose(band, mirror, atol=1e-8)
         )
-        in_range = in_range and -1e-9 <= low and high <= 1 + 1e-9
+        in_range = in_range and low_bound <= low and high <= high_bound
     if not finite:
         raise ClusteringError(
             "similarity matrix has non-finite entries (NaN or inf)"
@@ -76,11 +87,11 @@ def _validate_similarity(similarity: np.ndarray) -> np.ndarray:
         raise ClusteringError("similarity matrix must be symmetric")
     if not in_range:
         raise ClusteringError("similarities must lie in [0, 1]")
-    return s.copy()
+    return similarity.similarity() if counts else s.copy()
 
 
 def build_dendrogram(
-    similarity: np.ndarray,
+    similarity: np.ndarray | MatchCounts,
     *,
     linkage: str = "average",
     stop_threshold: float | None = None,
@@ -90,8 +101,12 @@ def build_dendrogram(
     Parameters
     ----------
     similarity:
-        Symmetric ``(N, N)`` matrix of finite similarities in [0, 1].
-        The diagonal is validated like every other entry (a NaN or a 7.0
+        Symmetric ``(N, N)`` matrix of finite similarities in [0, 1], or
+        the :class:`~repro.minhash.similarity.MatchCounts` it is the
+        quotient of.  Never modified: the merge loop works on a private
+        float64 matrix, a copy of a float input or the one division of
+        the counts, so a dense fit holds one 8N² matrix, not two.  The
+        diagonal is validated like every other entry (a NaN or a 7.0
         there is rejected), but its values never influence a merge.
     linkage:
         One of :data:`LINKAGES`.
@@ -235,14 +250,15 @@ def multi_threshold_cut(
 
 
 def agglomerative_cluster(
-    similarity: np.ndarray,
+    similarity: np.ndarray | MatchCounts,
     read_ids: Sequence[str],
     threshold: float,
     *,
     linkage: str = "average",
 ) -> ClusterAssignment:
     """End-to-end Algorithm 2: matrix -> dendrogram -> θ cut -> labels."""
-    similarity = np.asarray(similarity)
+    if not isinstance(similarity, MatchCounts):
+        similarity = np.asarray(similarity)
     if len(read_ids) != similarity.shape[0]:
         raise ClusteringError(
             f"{len(read_ids)} read ids for a {similarity.shape[0]}-row matrix"

@@ -18,7 +18,11 @@ from repro.mapreduce.job import MapReduceJob, identity_reducer
 from repro.mapreduce.runner import JobResult, SerialRunner
 from repro.mapreduce.types import JobConf
 from repro.minhash.sketch import MinHashSketch
-from repro.minhash.similarity import pairwise_match_counts, pairwise_similarity_matrix
+from repro.minhash.similarity import (
+    MatchCounts,
+    pairwise_match_counts,
+    pairwise_similarity_matrix,
+)
 from repro.utils.chunking import chunk_indices
 
 
@@ -28,7 +32,8 @@ class _BandMapper:
     This is where a band's format is decided: the positional estimator's
     band is its integer match counts (:func:`pairwise_match_counts`,
     ``np.min_scalar_type(n)``, one byte per pair up to n = 255), which the
-    driver divides by n once; the set estimator's band is float64.
+    driver assembles into one :class:`MatchCounts` matrix and the merge
+    loop divides by n once; the set estimator's band is float64.
     """
 
     def __init__(self, sketches: Sequence[MinHashSketch], estimator: str):
@@ -53,8 +58,8 @@ def similarity_band_job(
 
     Each map task emits ``(start, band)`` for its row band: integer match
     counts for the positional estimator, float64 similarities for the set
-    estimator.  :func:`compute_similarity_matrix` turns either into rows
-    of the float64 matrix.
+    estimator.  :func:`compute_similarity_matrix` assembles the bands into
+    one matrix of the same kind.
     """
     if not sketches:
         raise ClusteringError("cannot build a similarity job over no sketches")
@@ -71,7 +76,7 @@ def compute_similarity_matrix(
     estimator: str = "positional",
     runner=None,
     num_tasks: int = 4,
-) -> tuple[np.ndarray, JobResult]:
+) -> tuple[MatchCounts | np.ndarray, JobResult]:
     """All-pairs similarity via the Map-Reduce band job.
 
     Parameters
@@ -84,11 +89,13 @@ def compute_similarity_matrix(
 
     Returns
     -------
-    ``(matrix, job_result)`` — the assembled ``(N, N)`` float64 matrix
-    and the engine result (counters + trace for the cluster simulator).
-    Positional bands arrive as match counts and are divided by n here,
-    once, into the matrix's rows: the same bytes as
-    :func:`~repro.minhash.similarity.pairwise_similarity_matrix`.
+    ``(matrix, job_result)`` — the assembled ``(N, N)`` matrix and the
+    engine result (counters + trace for the cluster simulator).  The
+    positional matrix stays match counts, a
+    :class:`~repro.minhash.similarity.MatchCounts` whose ``similarity()``
+    is the bytes of
+    :func:`~repro.minhash.similarity.pairwise_similarity_matrix`; the set
+    estimator's is that float64 matrix.
     """
     n = len(sketches)
     if n == 0:
@@ -108,17 +115,18 @@ def compute_similarity_matrix(
         JobConf(num_map_tasks=len(bands), num_reduce_tasks=1),
     )
     num_hashes = len(sketches[0])
-    matrix = np.empty((n, n), dtype=np.float64)
+    positional = estimator == "positional"
+    matrix = np.empty(
+        (n, n), dtype=np.min_scalar_type(num_hashes) if positional else np.float64
+    )
     filled = 0
     for start, band in result.output:
-        rows = matrix[start : start + band.shape[0]]
-        if band.dtype.kind == "f":
-            rows[...] = band
-        else:
-            np.divide(band, num_hashes, out=rows)
+        matrix[start : start + band.shape[0]] = band
         filled += band.shape[0]
     if filled != n:
         raise ClusteringError(
             f"similarity job returned {filled} rows for an {n}-sequence input"
         )
+    if positional:
+        return MatchCounts(matrix, num_hashes), result
     return matrix, result

@@ -20,6 +20,7 @@ from __future__ import annotations
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -40,6 +41,7 @@ from repro.mapreduce.job import MapReduceJob, identity_reducer
 from repro.mapreduce.runner import SerialRunner
 from repro.obs.trace import current_tracer
 from repro.mapreduce.types import JobConf, JobTrace, TaskTrace
+from repro.minhash.similarity import MatchCounts
 from repro.minhash.sketch import (
     MinHashSketch,
     SketchingConfig,
@@ -134,7 +136,10 @@ class ClusteringRun:
 
     assignment: ClusterAssignment
     sketches: list[MinHashSketch]
-    similarity: np.ndarray | None
+    matrix: MatchCounts | np.ndarray | None
+    """The dense hierarchical path's all-pairs matrix as the similarity
+    job returned it (match counts for the positional estimator); ``None``
+    when no matrix was computed."""
     traces: list[JobTrace]
     timings: dict[str, float]
     counters: Counters = field(default_factory=Counters)
@@ -142,7 +147,16 @@ class ClusteringRun:
     """Similarity path actually taken: ``dense`` (the all-pairs matrix or
     the greedy sweep) or ``engine`` (the MapReduce LSH chain)."""
     sparse_stats: dict | None = None
-    """Candidate/edge/round/shuffle accounting when the engine chain ran."""
+    """Candidate/edge/round/shuffle accounting when the engine chain ran;
+    ``shuffle_bytes`` is ``None`` when the runner traced no job."""
+
+    @cached_property
+    def similarity(self) -> np.ndarray | None:
+        """The float64 all-pairs similarity matrix (or ``None``), built
+        from :attr:`matrix` on first access, never during the fit."""
+        if isinstance(self.matrix, MatchCounts):
+            return self.matrix.similarity()
+        return self.matrix
 
     @property
     def wall_seconds(self) -> float:
@@ -402,7 +416,7 @@ class MrMCMinH:
         )
 
         # ---- stage 2/3: similarity + clustering --------------------------
-        similarity: np.ndarray | None = None
+        matrix: MatchCounts | np.ndarray | None = None
         sparse_stats: dict | None = None
         mode = self._resolve_mode(len(sketches))
         if mode == "engine":
@@ -442,7 +456,7 @@ class MrMCMinH:
         elif self.method == "hierarchical":
             t0 = time.perf_counter()
             with tracer.span("phase:similarity", kind="phase"):
-                similarity, sim_result = compute_similarity_matrix(
+                matrix, sim_result = compute_similarity_matrix(
                     sketches,
                     estimator=self.estimator,
                     runner=self.runner,
@@ -456,7 +470,7 @@ class MrMCMinH:
             t0 = time.perf_counter()
             with tracer.span("phase:cluster", kind="phase"):
                 assignment = agglomerative_cluster(
-                    similarity,
+                    matrix,
                     [s.read_id for s in sketches],
                     theta,
                     linkage=self.linkage,
@@ -483,7 +497,7 @@ class MrMCMinH:
         return ClusteringRun(
             assignment=assignment,
             sketches=sketches,
-            similarity=similarity,
+            matrix=matrix,
             traces=traces,
             timings=timings,
             counters=counters,

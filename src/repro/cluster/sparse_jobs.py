@@ -258,9 +258,12 @@ class SparseEngineRun:
     """Above-threshold edges (equals ``len(edges)`` when collected)."""
 
     @property
-    def shuffle_bytes(self) -> int:
+    def shuffle_bytes(self) -> int | None:
         """Total shuffle volume the runner measured across the chain's
-        jobs; 0 when the runner samples no bytes (no traces)."""
+        jobs; ``None`` when no job was traced (a runner built with
+        ``trace=False`` measures no bytes, though the jobs shuffled)."""
+        if not self.traces:
+            return None
         return sum(t.shuffle_bytes for t in self.traces)
 
 
@@ -402,18 +405,11 @@ def run_sparse_jobs(
     counters = Counters()
     for result in results:
         counters.merge(result.counters)
-    shuffle_bytes = sum(t.shuffle_bytes for t in traces)
     counters.increment("sparse_jobs", "clusters", assignment.num_clusters)
     counters.increment("sparse_jobs", "candidate_pairs", pair_count)
     counters.increment("sparse_jobs", "edges", edge_count)
     counters.increment("sparse_jobs", "rounds", len(results))
-    tracer.metrics.gauge("sparse_jobs.candidate_pairs").set(pair_count)
-    tracer.metrics.gauge("sparse_jobs.edges").set(edge_count)
-    tracer.metrics.gauge("sparse_jobs.rounds").set(len(results))
-    tracer.metrics.gauge("sparse_jobs.shuffle_bytes").set(shuffle_bytes)
-    tracer.metrics.gauge("sparse_jobs.side_data_bytes").set(side.nbytes)
-
-    return SparseEngineRun(
+    run = SparseEngineRun(
         matches=matches,
         edges=edges,
         assignment=assignment,
@@ -425,3 +421,10 @@ def run_sparse_jobs(
         candidate_pair_count=pair_count,
         edge_count=edge_count,
     )
+    tracer.metrics.gauge("sparse_jobs.candidate_pairs").set(pair_count)
+    tracer.metrics.gauge("sparse_jobs.edges").set(edge_count)
+    tracer.metrics.gauge("sparse_jobs.rounds").set(len(results))
+    if run.shuffle_bytes is not None:
+        tracer.metrics.gauge("sparse_jobs.shuffle_bytes").set(run.shuffle_bytes)
+    tracer.metrics.gauge("sparse_jobs.side_data_bytes").set(side.nbytes)
+    return run

@@ -32,6 +32,7 @@ from repro.minhash.sketch import (
     sketches_from_matrix,
 )
 from repro.minhash.similarity import (
+    MatchCounts,
     estimate_jaccard,
     exact_jaccard,
     positional_similarity,
@@ -68,6 +69,7 @@ __all__ = [
     "exact_jaccard",
     "positional_similarity",
     "set_similarity",
+    "MatchCounts",
     "pairwise_match_counts",
     "pairwise_similarity_matrix",
     "condensed_to_square",

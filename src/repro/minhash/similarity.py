@@ -18,12 +18,14 @@ the band's rows are compared against the whole column, and the matches
 are accumulated in a small integer counter (:func:`pairwise_match_counts`)
 that is divided by n once.  The Map-Reduce layer partitions rows across
 tasks exactly as described in Section III-C ("row-wise partition") and
-ships those counts, not the floats.
+ships those counts, not the floats, on to the merge loop
+(:class:`MatchCounts`).
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -114,7 +116,8 @@ def pairwise_similarity_matrix(
     if not sketches:
         return np.empty((0, 0), dtype=np.float64)
     if estimator == "positional":
-        return pairwise_match_counts(sketches, row_range=row_range) / len(sketches[0])
+        counts = pairwise_match_counts(sketches, row_range=row_range)
+        return MatchCounts(counts, len(sketches[0])).similarity()
     matrix, start, stop = _sketch_rows(sketches, row_range)
     n = matrix.shape[0]
 
@@ -144,7 +147,7 @@ def pairwise_match_counts(
     column against the whole column and adds the matches into that
     counter.  The count k is exact, so ``k / n`` is the same float64 that
     ``np.mean`` of the boolean matches produces; the similarity job ships
-    these counts and divides once on the driver.
+    these counts and the merge loop divides them once.
     """
     if not sketches:
         return np.empty((0, 0), dtype=np.uint8)
@@ -164,6 +167,37 @@ def pairwise_match_counts(
         np.equal(column[start:stop, None], column[None, :], out=equal)
         counts += equal.view(np.uint8)
     return counts
+
+
+@dataclass(frozen=True, eq=False)
+class MatchCounts:
+    """Positional match counts and the rule ``similarity = count / n``:
+    ``counts[i, j] = k`` means sketches i and j agree on k of their
+    ``num_hashes`` positions.  The dense similarity job hands the merge
+    loop these N² bytes (``np.min_scalar_type(n)``), not an 8N² float64
+    matrix, and the loop divides them once."""
+
+    counts: np.ndarray
+    num_hashes: int
+
+    def __post_init__(self):
+        counts = self.counts
+        if not isinstance(counts, np.ndarray) or counts.dtype.kind not in "ui":
+            raise SketchError("match counts must be an integer numpy array")
+        if self.num_hashes < 1:
+            raise SketchError(f"num_hashes must be >= 1, got {self.num_hashes}")
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.counts.shape
+
+    @property
+    def nbytes(self) -> int:
+        return self.counts.nbytes
+
+    def similarity(self) -> np.ndarray:
+        """The float64 matrix ``counts / num_hashes`` (a new array per call)."""
+        return self.counts / self.num_hashes
 
 
 def _sketch_rows(

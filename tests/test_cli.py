@@ -57,6 +57,31 @@ class TestClusterCommand:
         code = main(["cluster", fasta_path, "--method", "greedy", "--hashes", "32"])
         assert code == 0
 
+    @pytest.mark.parametrize("traced", [True, False])
+    def test_sparse_line_prints_only_measured_shuffle_bytes(
+        self, fasta_path, capsys, monkeypatch, traced
+    ):
+        from repro.mapreduce.runner import SerialRunner
+
+        monkeypatch.setattr(
+            "repro.cluster.pipeline.SerialRunner",
+            lambda: SerialRunner(trace=traced),
+        )
+        code = main(
+            [
+                "cluster", fasta_path, "--hashes", "32", "--threshold", "0.78",
+                "--linkage", "single", "--engine-sparse",
+            ]
+        )
+        assert code == 0
+        [line] = [
+            line
+            for line in capsys.readouterr().err.splitlines()
+            if line.startswith("# sparse:")
+        ]
+        assert line.endswith("shuffle bytes") == traced
+        assert "None" not in line
+
 
 class TestConfigErrors:
     @pytest.mark.parametrize(

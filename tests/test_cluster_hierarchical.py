@@ -17,6 +17,7 @@ from repro.cluster.hierarchical import (
     build_dendrogram,
     cut_dendrogram,
 )
+from repro.minhash.similarity import MatchCounts
 
 
 def random_similarity(n, seed):
@@ -45,6 +46,11 @@ def quantised_similarity(n, seed, levels=50):
     sim = (upper + upper.T) / (levels - 1)
     np.fill_diagonal(sim, 1.0)
     return sim
+
+
+def as_counts(sim, levels=50):
+    """The match counts whose quotients are ``quantised_similarity``."""
+    return MatchCounts(np.rint(sim * (levels - 1)).astype(np.uint8), levels - 1)
 
 
 def partitions_equal(a, b):
@@ -91,6 +97,8 @@ class TestBuildDendrogram:
             build_dendrogram(np.array([[1.0, 0.2], [0.8, 1.0]]))
         with pytest.raises(ClusteringError, match="\\[0, 1\\]"):
             build_dendrogram(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        with pytest.raises(ClusteringError, match="empty"):
+            build_dendrogram(np.zeros((0, 0)))
         with pytest.raises(ClusteringError, match="unknown linkage"):
             build_dendrogram(random_similarity(3, 0), linkage="ward")
         with pytest.raises(ClusteringError):
@@ -143,6 +151,33 @@ class TestBuildDendrogram:
         tolerated[n - 1, 3] += 5e-9
         assert len(build_dendrogram(tolerated, stop_threshold=0.9)) > 0
 
+    def test_counts_rejected_with_the_float_messages(self):
+        """Match counts are checked on the integers, with the float path's
+        messages in its precedence: square, empty, symmetric, range."""
+        def counts(rows, n=10):
+            return MatchCounts(np.array(rows, dtype=np.uint8), n)
+
+        cases = [
+            (counts([[10, 2], [8, 10]]), "symmetric"),
+            (counts([[10, 11], [11, 10]]), "\\[0, 1\\]"),
+            (counts([[10, 11], [2, 10]]), "symmetric"),
+            (counts([[10, 2, 3], [2, 10, 4]]), "square"),
+            (MatchCounts(np.zeros((0, 0), dtype=np.uint8), 10), "empty"),
+        ]
+        for matrix, message in cases:
+            with pytest.raises(ClusteringError, match=message):
+                build_dendrogram(matrix)
+        # An in-range count of exactly n is a similarity of 1.
+        assert len(build_dendrogram(counts([[10, 10], [10, 10]]))) == 1
+
+    @pytest.mark.parametrize("counts", [False, True])
+    def test_input_not_mutated(self, counts):
+        sim = quantised_similarity(60, 3)
+        data = as_counts(sim).counts if counts else sim
+        before = data.copy()
+        build_dendrogram(MatchCounts(data, 49) if counts else data)
+        assert data.tobytes() == before.tobytes()
+
     def test_near_symmetric_accepted_through_allclose(self):
         """A band that is not exactly symmetric still passes when it is
         symmetric to within allclose's tolerance (float noise such as
@@ -178,18 +213,20 @@ MERGE_ORDER_SHA256 = {
 class TestMergeOrderCharacterization:
     """Merge order, first-index tie-breaking included, is pinned on
     tie-heavy matrices: any change to the merge loop that reorders tied
-    merges or perturbs an average-linkage float changes a digest."""
+    merges or perturbs an average-linkage float changes a digest.  The
+    match counts of the same matrices must give the same digests."""
 
     @pytest.mark.parametrize("link,stop", sorted(MERGE_ORDER_SHA256, key=str))
     def test_step_list_digest(self, link, stop):
-        digest = hashlib.sha256()
-        for seed, n in ((0, 40), (1, 100), (2, 200)):
-            sim = quantised_similarity(n, seed)
-            assert len(np.unique(sim)) <= 50
-            d = build_dendrogram(sim, linkage=link, stop_threshold=stop)
-            steps = [(s.left, s.right, s.similarity, s.size) for s in d.steps]
-            digest.update(repr(steps).encode())
-        assert digest.hexdigest() == MERGE_ORDER_SHA256[(link, stop)]
+        for carrier in (np.asarray, as_counts):
+            digest = hashlib.sha256()
+            for seed, n in ((0, 40), (1, 100), (2, 200)):
+                sim = quantised_similarity(n, seed)
+                assert len(np.unique(sim)) <= 50
+                d = build_dendrogram(carrier(sim), linkage=link, stop_threshold=stop)
+                steps = [(s.left, s.right, s.similarity, s.size) for s in d.steps]
+                digest.update(repr(steps).encode())
+            assert digest.hexdigest() == MERGE_ORDER_SHA256[(link, stop)], carrier
 
 
 class TestScipyEquivalence:

@@ -1,8 +1,11 @@
 """Tests for the row-partitioned similarity job and the MrMCMinH pipeline."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.datasets import generate_whole_metagenome_sample
 from repro.errors import ClusteringError
 from repro.cluster.matrix import compute_similarity_matrix, similarity_band_job
 from repro.cluster.pipeline import MrMCMinH, _SketchBatchMapper, _SketchMapper
@@ -10,7 +13,7 @@ from repro.mapreduce.hdfs import SimulatedHDFS
 from repro.mapreduce.local import MultiprocessRunner
 from repro.mapreduce.runner import SerialRunner
 from repro.mapreduce.types import JobConf
-from repro.minhash.similarity import pairwise_similarity_matrix
+from repro.minhash.similarity import MatchCounts, pairwise_similarity_matrix
 from repro.minhash.sketch import MinHashSketch, SketchingConfig
 from repro.seq.records import SequenceRecord
 
@@ -39,19 +42,19 @@ class TestSimilarityJob:
     def test_matches_direct_computation(self, two_family_sketches):
         direct = pairwise_similarity_matrix(two_family_sketches)
         via_job, result = compute_similarity_matrix(two_family_sketches, num_tasks=3)
-        assert via_job.tobytes() == direct.tobytes()
+        assert via_job.similarity().tobytes() == direct.tobytes()
         assert result.trace is not None
         assert len(result.trace.map_tasks) == 3
 
     def test_single_task(self, two_family_sketches):
         direct = pairwise_similarity_matrix(two_family_sketches)
         via_job, _ = compute_similarity_matrix(two_family_sketches, num_tasks=1)
-        assert via_job.tobytes() == direct.tobytes()
+        assert via_job.similarity().tobytes() == direct.tobytes()
 
     def test_more_tasks_than_rows(self, two_family_sketches):
         via_job, _ = compute_similarity_matrix(two_family_sketches, num_tasks=999)
         assert via_job.shape == (len(two_family_sketches),) * 2
-        assert via_job.tobytes() == pairwise_similarity_matrix(
+        assert via_job.similarity().tobytes() == pairwise_similarity_matrix(
             two_family_sketches
         ).tobytes()
 
@@ -66,9 +69,10 @@ class TestSimilarityJob:
     @pytest.mark.parametrize("kind", ["small", "negative", "high_bits"])
     @pytest.mark.parametrize("estimator", ["positional", "set"])
     def test_driver_division_is_byte_identical(self, num_hashes, kind, estimator):
-        """Positional bands travel as match counts and are divided by n on
-        the driver; the matrix must equal the in-process one byte for byte
-        (and, for the positional estimator, the per-pair np.mean)."""
+        """Positional bands travel as match counts and the job returns them
+        as one count matrix; its float64 view must equal the in-process
+        matrix byte for byte (and the per-pair np.mean).  The set
+        estimator's matrix is float64 as it comes."""
         rng = np.random.default_rng(num_hashes)
         values = random_values(rng, 23, num_hashes, kind)
         sketches = sketches_from_values(values)
@@ -76,6 +80,9 @@ class TestSimilarityJob:
         via_job, _ = compute_similarity_matrix(
             sketches, estimator=estimator, num_tasks=4
         )
+        if estimator == "positional":
+            assert via_job.counts.dtype == np.min_scalar_type(num_hashes)
+            via_job = via_job.similarity()
         assert via_job.dtype == np.float64
         assert via_job.tobytes() == direct.tobytes()
         if estimator == "positional":
@@ -153,11 +160,37 @@ class TestMrMCMinHFit:
     def test_hierarchical_outputs(self, two_family_records):
         run = MrMCMinH(kmer_size=5, num_hashes=48, threshold=0.5).fit(two_family_records)
         n = len(two_family_records)
+        assert isinstance(run.matrix, MatchCounts)
+        assert "similarity" not in vars(run)  # not built during the fit
         assert run.similarity.shape == (n, n)
+        assert run.similarity.tobytes() == pairwise_similarity_matrix(
+            run.sketches
+        ).tobytes()
         assert [t.job_name for t in run.traces] == ["sketch", "similarity", "cluster"]
         assert set(run.timings) == {"sketch", "similarity", "cluster"}
         assert run.wall_seconds > 0
         assert run.counters.get("pipeline", "sequences_clustered") == n
+
+    def test_dense_fit_holds_one_float64_matrix(self):
+        """The merge loop's working matrix is the only N x N float64 array
+        a dense average-linkage fit holds: the similarity job's match
+        counts reach it undivided.  Two such arrays would need 2 * 8N²."""
+        reads = generate_whole_metagenome_sample(
+            "S1", num_reads=800, genome_length=5000, seed=0
+        )
+        model = MrMCMinH(
+            kmer_size=5, num_hashes=100, threshold=0.9, method="hierarchical",
+            linkage="average", sparse=False,
+        )
+        tracemalloc.start()
+        try:
+            run = model.fit(reads)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        n = len(run.sketches)
+        assert n == 800
+        assert peak < 2 * 8 * n * n
 
     def test_deterministic(self, two_family_records):
         a = MrMCMinH(kmer_size=5, num_hashes=48, threshold=0.5, seed=3).fit(

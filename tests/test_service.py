@@ -438,6 +438,27 @@ class TestDegradedClusterSpec:
             run = t.result(timeout=60)
         assert run.assignment.num_clusters >= 1
 
+    def test_service_engine_spec_leaves_shuffle_bytes_unmeasured(
+        self, two_family_records
+    ):
+        """The default runner traces nothing: the chain's rounds are still
+        counted, its shuffle volume is reported unmeasured, not 0."""
+        spec = ClusterJobSpec(
+            records=tuple(two_family_records),
+            num_hashes=32,
+            threshold=0.6,
+            method="hierarchical",
+            linkage="single",
+            num_map_tasks=2,
+            sparse="engine",
+        )
+        with JobService(num_slots=1) as svc:
+            run = svc.submit("metagenomics", spec).result(timeout=60)
+        assert run.mode == "engine"
+        assert run.sparse_stats["rounds"] == 2
+        assert run.sparse_stats["candidate_pairs"] > 0
+        assert run.sparse_stats["shuffle_bytes"] is None
+
 
 # ---------------------------------------------------------------------------
 # Breaker integration, drain, shutdown

@@ -269,10 +269,12 @@ class TestObservability:
         tracer = Tracer()
         with tracer.activate():
             run = run_sparse_jobs(make_sketches(), 0.5, runner=runner)
-        assert run.traces == [] and run.shuffle_bytes == 0
+        assert run.traces == [] and run.shuffle_bytes is None
         assert run.rounds == 2
         assert run.counters.get("sparse_jobs", "rounds") == 2
-        assert tracer.metrics.snapshot()["gauges"]["sparse_jobs.rounds"] == 2
+        gauges = tracer.metrics.snapshot()["gauges"]
+        assert gauges["sparse_jobs.rounds"] == 2
+        assert "sparse_jobs.shuffle_bytes" not in gauges  # nothing measured
         fit = MrMCMinH(
             kmer_size=5, num_hashes=32, threshold=0.6,
             method="hierarchical", linkage="single", sparse="engine",
